@@ -50,9 +50,6 @@ class CalibrationModel:
             raise CalibrationError(f"fitted model needs >= 3 samples, got {self.n_samples}")
 
 
-IDENTITY_MODEL = CalibrationModel(c0=0.0, c1=1.0, c2=0.0, h=1.0)
-
-
 def fit_quadratic(samples: list[CalibrationSample], h: float) -> CalibrationModel:
     """Least-squares fit of (c0, c1, c2) minimizing sum((h*(c0+c1*x+c2*x^2) - y)^2).
 

@@ -150,18 +150,16 @@ def predict_image(
 ) -> tuple[list[roi.ObjectDistance], list[roi.RoiFailure]]:
     """Run the full fusion pipeline for one image.
 
-    confidence filter -> NMS -> disparity->depth (unless the backend already
-    emits metric depth) -> median pooling per box -> calibration when a
-    model is configured.
+    confidence filter -> NMS -> median pooling per box (in disparity space
+    for a disparity map; only each box's median is converted to depth) ->
+    calibration when a model is configured.
     """
     depth_map = maps.read_pfm(
         cfg.backend.fetch_depth_bytes(image_id), kind=cfg.backend.depth_kind
     )
     dets = detect.parse_detections(cfg.backend.fetch_detection_bytes(image_id))
     dets = detect.nms(detect.filter_confidence(dets, cfg.min_conf), cfg.iou_threshold)
-    if depth_map.kind is maps.MapKind.DISPARITY:
-        depth_map = maps.disparity_to_depth(depth_map, cfg.depth_range)
-    objects, failures = roi.measure_objects(depth_map, dets)
+    objects, failures = roi.measure_objects(depth_map, dets, cfg.depth_range)
     if cfg.calibration_model is not None:
         objects = [
             roi.ObjectDistance(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,9 @@ class ScalarMap:
     """Immutable 2-D grid of scalar values, row-major, top row first.
 
     Disparity maps are dimensionless in [0, 1]; depth maps are in meters.
+    float32 values stay float32 (a PFM map is a read-only view of the
+    stream's bytes); any other input becomes float64. Either way ``values``
+    is a read-only array that may be a non-contiguous view.
     """
 
     width: int
@@ -46,25 +50,26 @@ class ScalarMap:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise DataError(f"map dimensions must be positive, got {self.width}x{self.height}")
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.height, self.width):
-            vals = vals.reshape(self.height, self.width)
-        vals = np.ascontiguousarray(vals)
+        vals = np.asarray(self.values)
+        if vals.dtype != np.float32:
+            vals = vals.astype(np.float64, copy=False)
+        # a fresh view, so the caller's own array stays writable
+        vals = vals.reshape(self.height, self.width).view()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if not np.isfinite(vals).all():
+        # NaN propagates through min/max and +-inf shows up in one of them
+        lo, hi = float(vals.min()), float(vals.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DataError("map contains non-finite values")
-        if self.kind is MapKind.DISPARITY:
-            if vals.min() < 0.0 or vals.max() > 1.0:
-                raise DataError(
-                    f"disparity values outside [0, 1]: min={vals.min()}, max={vals.max()}"
-                )
+        if self.kind is MapKind.DISPARITY and (lo < 0.0 or hi > 1.0):
+            raise DataError(f"disparity values outside [0, 1]: min={lo}, max={hi}")
 
 
 def read_pfm(data: bytes, kind: MapKind = MapKind.DISPARITY) -> ScalarMap:
     """Decode a grayscale PFM byte stream.
 
-    The file stores rows bottom-first; the returned map is top-first.
+    The file stores rows bottom-first; the returned map is top-first. A
+    little-endian stream decodes to a float32 view of ``data`` with no copy.
     Color (``PF``) streams are rejected.
     """
     try:
@@ -90,21 +95,22 @@ def read_pfm(data: bytes, kind: MapKind = MapKind.DISPARITY) -> ScalarMap:
         raise PfmFormatError("malformed PFM header fields") from None
     if width <= 0 or height <= 0:
         raise PfmFormatError(f"non-positive PFM dimensions {width}x{height}")
-    if scale == 0.0:
-        raise PfmFormatError("PFM scale must be non-zero")
+    # the scale's sign is the byte order, so nan or inf says nothing
+    if scale == 0.0 or not math.isfinite(scale):
+        raise PfmFormatError(f"PFM scale must be finite and non-zero, got {scale}")
 
-    payload = data[scale_end + 1 :]
+    payload_len = len(data) - (scale_end + 1)
     expected = width * height * 4
-    if len(payload) != expected:
-        raise PfmFormatError(f"PFM payload is {len(payload)} bytes, expected {expected}")
+    if payload_len != expected:
+        raise PfmFormatError(f"PFM payload is {payload_len} bytes, expected {expected}")
 
     dtype = "<f4" if scale < 0 else ">f4"
-    vals = np.frombuffer(payload, dtype=dtype).reshape(height, width)
-    # PFM stores the bottom row first
-    vals = vals[::-1].astype(np.float64)
-    if not np.isfinite(vals).all():
-        raise PfmFormatError("PFM payload contains non-finite values")
-    return ScalarMap(width=width, height=height, kind=kind, values=vals)
+    vals = np.frombuffer(data, dtype=dtype, offset=scale_end + 1).reshape(height, width)
+    try:
+        # PFM stores the bottom row first
+        return ScalarMap(width=width, height=height, kind=kind, values=vals[::-1])
+    except DataError as e:
+        raise PfmFormatError(f"PFM payload: {e}") from None
 
 
 def write_pfm(m: ScalarMap) -> bytes:
@@ -114,25 +120,29 @@ def write_pfm(m: ScalarMap) -> bytes:
     return header + payload
 
 
-def disparity_to_depth(m: ScalarMap, depth_range: DepthRange) -> ScalarMap:
-    """Convert normalized disparity to metric depth via scaled inverse disparity.
+def disparity_to_depth_value(disparity, depth_range: DepthRange) -> np.ndarray:
+    """Metric depth of normalized disparity, elementwise, in float64.
 
-    Per pixel v: depth = 1 / (1/max + (1/min - 1/max) * v), so v=0 gives
-    max_depth and v=1 gives min_depth.
+    depth = 1 / (1/max + (1/min - 1/max) * v), so v=0 gives max_depth and
+    v=1 gives min_depth. The transform is monotone decreasing, clip included.
     """
+    min_disp = 1.0 / depth_range.max_depth
+    max_disp = 1.0 / depth_range.min_depth
+    scaled = min_disp + (max_disp - min_disp) * np.asarray(disparity, dtype=np.float64)
+    # guard float round-off at the interval endpoints
+    return np.clip(1.0 / scaled, depth_range.min_depth, depth_range.max_depth)
+
+
+def depth_to_disparity_value(depth, depth_range: DepthRange) -> np.ndarray:
+    """Exact algebraic inverse of disparity_to_depth_value, elementwise, in float64."""
+    min_disp = 1.0 / depth_range.max_depth
+    max_disp = 1.0 / depth_range.min_depth
+    return (1.0 / np.asarray(depth, dtype=np.float64) - min_disp) / (max_disp - min_disp)
+
+
+def disparity_to_depth(m: ScalarMap, depth_range: DepthRange) -> ScalarMap:
+    """Convert a normalized disparity map to a float64 metric depth map."""
     if m.kind is not MapKind.DISPARITY:
         raise DataError(f"expected a disparity map, got {m.kind.value}")
-    min_disp = 1.0 / depth_range.max_depth
-    max_disp = 1.0 / depth_range.min_depth
-    scaled = min_disp + (max_disp - min_disp) * m.values
-    depth = 1.0 / scaled
-    # guard float round-off at the interval endpoints
-    depth = np.clip(depth, depth_range.min_depth, depth_range.max_depth)
+    depth = disparity_to_depth_value(m.values, depth_range)
     return ScalarMap(width=m.width, height=m.height, kind=MapKind.DEPTH, values=depth)
-
-
-def depth_to_disparity_value(depth_m: float, depth_range: DepthRange) -> float:
-    """Exact algebraic inverse of disparity_to_depth for a single value."""
-    min_disp = 1.0 / depth_range.max_depth
-    max_disp = 1.0 / depth_range.min_depth
-    return (1.0 / depth_m - min_disp) / (max_disp - min_disp)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .detect import BoundingBox, Detection, DetectionSet
 from .errors import DataError, DegenerateRoiError, DetectionFormatError
-from .maps import MapKind, ScalarMap
+from .maps import DepthRange, MapKind, ScalarMap, disparity_to_depth_value
 
 
 @dataclass(frozen=True)
@@ -93,18 +93,43 @@ def median_depth(depth: ScalarMap, rect: IndexRect) -> float:
     if rect.col1 > depth.width or rect.row1 > depth.height:
         raise DataError(f"rect {rect} exceeds map bounds {depth.width}x{depth.height}")
     window = depth.values[rect.row0 : rect.row1, rect.col0 : rect.col1]
-    return float(np.median(window))
+    return _median_depth(window, None)
+
+
+def _median_depth(values: np.ndarray, depth_range: DepthRange | None) -> float:
+    """Median depth of a non-empty window of disparity (with depth_range) or depth values.
+
+    disparity->depth is monotone, so the middle element(s) are selected in
+    the map's own space and only they are converted to float64 depth. An
+    even count averages the two middles in float64, as ``np.median`` does.
+    """
+    n = values.size
+    lo, hi = (n - 1) // 2, n // 2
+    middles = np.partition(values, (lo, hi), axis=None)[lo : hi + 1]
+    if depth_range is None:
+        return float(middles.mean(dtype=np.float64))
+    return float(disparity_to_depth_value(middles, depth_range).mean())
 
 
 def measure_objects(
-    depth: ScalarMap, dets: DetectionSet
+    depth: ScalarMap, dets: DetectionSet, depth_range: DepthRange | None = None
 ) -> tuple[list[ObjectDistance], list[RoiFailure]]:
     """Compute the relative distance (REV) of every detection.
 
     REV is the median depth inside the detection's box projected onto the
-    grid. Degenerate projections are recorded as failures, not raised, so a
-    bad box never aborts the whole image.
+    grid. A disparity map needs depth_range and is pooled in disparity
+    space. A metric depth map pools only its positive pixels, because zero
+    or negative depth marks a sensor hole. Degenerate projections and boxes
+    with no valid pixel are recorded as failures, not raised, so a bad box
+    never aborts the whole image.
     """
+    holes = False
+    if depth.kind is MapKind.DISPARITY:
+        if depth_range is None:
+            raise DataError("pooling a disparity map needs a depth range")
+    else:
+        depth_range = None  # metric depth needs no conversion
+        holes = float(depth.values.min()) <= 0.0
     results: list[ObjectDistance] = []
     failures: list[RoiFailure] = []
     image_dims = (dets.image_width, dets.image_height)
@@ -115,7 +140,13 @@ def measure_objects(
         except DegenerateRoiError as e:
             failures.append(RoiFailure(detection=det, reason=str(e)))
             continue
-        results.append(ObjectDistance(detection=det, rev=median_depth(depth, rect)))
+        window = depth.values[rect.row0 : rect.row1, rect.col0 : rect.col1]
+        if holes:
+            window = window[window > 0]
+            if window.size == 0:
+                failures.append(RoiFailure(detection=det, reason=f"no positive depth in {rect}"))
+                continue
+        results.append(ObjectDistance(detection=det, rev=_median_depth(window, depth_range)))
     return results, failures
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .detect import BoundingBox, Detection, DetectionSet
 from .errors import SceneError
 from .evaluate import GroundTruthObject
-from .maps import DepthRange, MapKind, ScalarMap
+from .maps import DepthRange, MapKind, ScalarMap, depth_to_disparity_value
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def render_scene(
         r1 = int(math.ceil(obj.bbox.y1))
         depth[r0:r1, c0:c1] = obj.depth
 
-    disparity = _depth_grid_to_disparity(depth, spec.depth_range)
+    disparity = depth_to_disparity_value(depth, spec.depth_range)
     if spec.noise_amplitude > 0:
         rng = np.random.default_rng(spec.seed)
         disparity = disparity + rng.uniform(
@@ -100,12 +100,6 @@ def render_scene(
         for o in spec.objects
     ]
     return disp_map, detections, gts
-
-
-def _depth_grid_to_disparity(depth: np.ndarray, rng: DepthRange) -> np.ndarray:
-    min_disp = 1.0 / rng.max_depth
-    max_disp = 1.0 / rng.min_depth
-    return (1.0 / depth - min_disp) / (max_disp - min_disp)
 
 
 def parse_scene(data: bytes | str) -> SceneSpec:

@@ -1,11 +1,18 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import monodist
 from monodist import cli
 from monodist.calib import REFERENCE_COEFFS, CalibrationModel, serialize_model
-from monodist.detect import BoundingBox
+from monodist.detect import BoundingBox, Detection, DetectionSet, serialize_detections
+from monodist.maps import MapKind, ScalarMap, write_pfm
 from monodist.roi import parse_distances
 from monodist.synth import SceneObject, SceneSpec, serialize_scene
 
@@ -294,3 +301,52 @@ class TestAnnotate:
         dist = tmp_path / "img.dist.json"
         dist.write_text(json.dumps({"image": "img", "objects": []}))
         assert run(f"annotate --distances {dist} --image-size huge --out {tmp_path}/o.svg") == 1
+
+
+class TestPredictPooling:
+    def test_sensor_hole_under_one_box_is_a_failure(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        vals = np.full((32, 64), 20.0)
+        vals[4:20, 40:60] = 0.0
+        depth = ScalarMap(width=64, height=32, kind=MapKind.DEPTH, values=vals)
+        (data / "img0.pfm").write_bytes(write_pfm(depth))
+        dets = DetectionSet(
+            "img0",
+            64,
+            32,
+            (
+                Detection(0, "car", 0.9, BoundingBox(4, 4, 24, 20)),
+                Detection(1, "person", 0.9, BoundingBox(40, 4, 60, 20)),
+            ),
+        )
+        (data / "img0.det.json").write_bytes(serialize_detections(dets))
+        cfg = files_config(tmp_path, data)
+        doc = json.loads(cfg.read_text())
+        doc["backend"]["depth_kind"] = "depth"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "img0.dist.json"
+        assert run(f"predict --config {cfg} --image-id img0 --out {out}") == 0
+        doc = json.loads(out.read_text())
+        assert [(o["class_name"], o["rev_m"]) for o in doc["objects"]] == [("car", 20.0)]
+        assert [f["class_name"] for f in doc["failures"]] == ["person"]
+
+    def test_predict_never_imports_numpy_ma(self, tmp_path):
+        # np.median imports numpy.ma on first use, a cost every cold predict would pay
+        data = synth_inputs(tmp_path)
+        cfg = files_config(tmp_path, data, calibration=IDENT)
+        out = tmp_path / "o.json"
+        argv = ["predict", "--config", str(cfg), "--image-id", "img0", "--out", str(out)]
+        code = (
+            "import sys\n"
+            "from monodist import cli\n"
+            f"assert cli.dispatch({argv!r}) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+        src = str(Path(monodist.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr

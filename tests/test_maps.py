@@ -176,3 +176,41 @@ def test_depth_range_validation():
         DepthRange(0.0, 100.0)
     with pytest.raises(DataError):
         DepthRange(5.0, 5.0)
+
+
+class TestPfmView:
+    @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf"])
+    def test_non_finite_scale_rejected(self, scale):
+        data = b"Pf\n2 1\n" + scale + b"\n" + np.array([0.25, 0.75], dtype="<f4").tobytes()
+        with pytest.raises(PfmFormatError):
+            read_pfm(data)
+
+    def test_values_are_float32_read_only_view_of_input(self):
+        data = pfm_bytes(3, 2, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        m = read_pfm(data)
+        assert m.values.dtype == np.float32
+        assert not m.values.flags.writeable
+        assert np.shares_memory(m.values, np.frombuffer(data, dtype=np.uint8))
+        # bottom row first on disk
+        assert m.values.tolist() == np.array([[0.4, 0.5, 0.6], [0.1, 0.2, 0.3]], "f4").tolist()
+
+    def test_writable_buffer_view_is_read_only(self):
+        m = read_pfm(bytearray(pfm_bytes(1, 1, [0.5])))
+        with pytest.raises(ValueError):
+            m.values[0, 0] = 0.1
+
+    def test_out_of_range_payload_is_pfm_error(self):
+        with pytest.raises(PfmFormatError):
+            read_pfm(pfm_bytes(1, 1, [1.5]))
+
+    def test_scalar_map_keeps_caller_array_writable(self):
+        arr = np.full((2, 2), 0.5)
+        ScalarMap(width=2, height=2, kind=MapKind.DISPARITY, values=arr)
+        arr[0, 0] = 0.25
+
+    def test_disparity_to_depth_upcasts_float32(self):
+        m = read_pfm(pfm_bytes(1, 1, [0.3]))
+        d = disparity_to_depth(m, DepthRange())
+        assert d.values.dtype == np.float64
+        upcast = disparity_to_depth(make_map([[np.float32(0.3)]]), DepthRange())
+        assert d.values[0, 0] == upcast.values[0, 0]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from monodist.detect import BoundingBox, Detection, DetectionSet
 from monodist.errors import DataError, DegenerateRoiError
-from monodist.maps import MapKind, ScalarMap
+from monodist.maps import DepthRange, MapKind, ScalarMap, disparity_to_depth
 from monodist.roi import (
     IndexRect,
     ObjectDistance,
@@ -152,3 +152,70 @@ class TestDistancesFormat:
             ("car", 9.75, None),
         ]
         assert serialize_distances("img7", back) == data
+
+
+disparities = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 0.25]),  # endpoints and ties
+    st.floats(0.0, 1.0, width=32),
+)
+depth_ranges = st.builds(
+    lambda lo, span: DepthRange(lo, lo + span), st.floats(0.01, 5.0), st.floats(0.1, 500.0)
+)
+
+
+@st.composite
+def float32_windows(draw, values):
+    h = draw(st.integers(1, 6))
+    w = draw(st.integers(1, 6))
+    grid = np.array(draw(st.lists(values, min_size=h * w, max_size=h * w)), np.float32)
+    c0 = draw(st.integers(0, w - 1))
+    r0 = draw(st.integers(0, h - 1))
+    rect = IndexRect(c0, r0, draw(st.integers(c0 + 1, w)), draw(st.integers(r0 + 1, h)))
+    return grid.reshape(h, w), rect
+
+
+def pooled_rev(m, rect, depth_range=None):
+    box = det(rect.col0, rect.row0, rect.col1, rect.row1)
+    objs, fails = measure_objects(m, DetectionSet("img", m.width, m.height, (box,)), depth_range)
+    assert fails == []
+    return objs[0].rev
+
+
+class TestPooling:
+    @given(float32_windows(disparities), depth_ranges)
+    def test_disparity_space_matches_converted_median(self, window, rng):
+        grid, rect = window
+        m = ScalarMap(grid.shape[1], grid.shape[0], MapKind.DISPARITY, grid)
+        assert m.values.dtype == np.float32
+        depth = disparity_to_depth(m, rng)
+        expect = median_depth(depth, rect)
+        assert pooled_rev(m, rect, rng) == expect
+        window_depth = depth.values[rect.row0 : rect.row1, rect.col0 : rect.col1]
+        assert expect == float(np.median(window_depth))
+
+    @given(float32_windows(st.floats(0.125, 100.0, width=32) | st.sampled_from([1.0, 2.0])))
+    def test_metric_float32_matches_float64_median(self, window):
+        grid, rect = window
+        m = ScalarMap(grid.shape[1], grid.shape[0], MapKind.DEPTH, grid)
+        window = grid[rect.row0 : rect.row1, rect.col0 : rect.col1]
+        expect = float(np.median(window.astype(np.float64)))
+        assert pooled_rev(m, rect, DepthRange()) == expect
+        assert median_depth(m, rect) == expect
+        assert median_depth(depth_map(grid.astype(np.float64)), rect) == expect
+
+    def test_disparity_map_needs_depth_range(self):
+        m = ScalarMap(2, 1, MapKind.DISPARITY, np.array([[0.1, 0.2]]))
+        with pytest.raises(DataError):
+            measure_objects(m, DetectionSet("img", 2, 1, (det(0, 0, 2, 1),)))
+
+    def test_sensor_holes_are_skipped(self):
+        vals = np.full((4, 8), 20.0)
+        vals[:, :2] = 0.0  # hole under part of the first box
+        vals[:, 6:] = -1.0  # the second box sees nothing valid
+        vals[0, 2] = 5.0
+        m = depth_map(vals)
+        first, second = det(0, 0, 4, 4), det(6, 0, 8, 4, class_name="car")
+        objs, fails = measure_objects(m, DetectionSet("img", 8, 4, (first, second)))
+        assert [(o.detection, o.rev) for o in objs] == [(first, 20.0)]
+        assert [f.detection for f in fails] == [second]
+        assert "no positive depth" in fails[0].reason
