@@ -137,7 +137,10 @@ def deserialize_model(data: bytes | str) -> CalibrationModel:
 def read_samples_csv(data: bytes | str) -> list[CalibrationSample]:
     """Read calibration samples from CSV with header `x_m,y_abs_m`."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CalibrationError(f"samples CSV is not UTF-8: {e}") from None
     reader = csv.DictReader(io.StringIO(data))
     if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["x_m", "y_abs_m"]:
         raise CalibrationError(

@@ -100,11 +100,13 @@ class PipelineConfig:
 def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
     """Build a PipelineConfig from a JSON file; override values win over file values."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_bytes())
     except OSError as e:
         raise DataError(f"cannot read config {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"malformed config JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"config must be a JSON object, got {type(doc).__name__}")
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
 
@@ -121,6 +123,8 @@ def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
         )
         backend.validate()
         rng_doc = doc.get("depth_range", {})
+        if not isinstance(rng_doc, dict):
+            raise DataError(f"depth_range must be a JSON object, got {type(rng_doc).__name__}")
         depth_range = maps.DepthRange(
             min_depth=float(rng_doc.get("min_m", 0.1)),
             max_depth=float(rng_doc.get("max_m", 100.0)),

@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import DataError, DetectionFormatError
 
@@ -92,7 +95,7 @@ def parse_detections(data: bytes | str) -> DetectionSet:
     """Parse the `.det.json` format. Boxes are clamped to image bounds."""
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DetectionFormatError(f"malformed detection JSON: {e}") from None
     try:
         image = doc["image"]
@@ -147,14 +150,34 @@ def serialize_detections(ds: DetectionSet) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection-over-union of two boxes; 0 when disjoint."""
-    ix = min(a.x1, b.x1) - max(a.x0, b.x0)
-    iy = min(a.y1, b.y1) - max(a.y0, b.y0)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+def _box_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
+    """The (n, 4) float64 array of x0, y0, x1, y1 rows that `iou` takes."""
+    return np.array(
+        [(b.x0, b.y0, b.x1, b.y1) for b in boxes], dtype=np.float64
+    ).reshape(-1, 4)
+
+
+def iou(
+    a: BoundingBox | np.ndarray, b: BoundingBox | np.ndarray
+) -> float | np.ndarray:
+    """Intersection-over-union; 0 where boxes are disjoint.
+
+    Given two BoundingBoxes, returns their IoU as a float. Given an (n, 4)
+    and an (m, 4) float64 array of x0, y0, x1, y1 rows (boxes of positive
+    area), returns the (n, m) IoU matrix. Both forms compute
+    inter / (area_a + area_b - inter) with the same float64 operations.
+    """
+    scalar = isinstance(a, BoundingBox)
+    if scalar:
+        a, b = _box_array([a]), _box_array([b])
+    ax0, ay0, ax1, ay1 = a.T[:, :, None]
+    bx0, by0, bx1, by1 = b.T
+    ix = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    iy = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+    # clipping makes a disjoint pair's inter 0.0, so its IoU is 0.0
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    overlap = inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
+    return float(overlap[0, 0]) if scalar else overlap
 
 
 def filter_confidence(ds: DetectionSet, min_conf: float) -> DetectionSet:
@@ -176,14 +199,18 @@ def nms(ds: DetectionSet, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> Detec
     order = sorted(
         range(len(ds.detections)), key=lambda i: (-ds.detections[i].confidence, i)
     )
-    kept: list[int] = []
-    for i in order:
-        d = ds.detections[i]
-        suppressed = any(
-            ds.detections[k].class_id == d.class_id
-            and iou(ds.detections[k].bbox, d.bbox) > iou_threshold
-            for k in kept
-        )
-        if not suppressed:
-            kept.append(i)
-    return replace(ds, detections=tuple(ds.detections[i] for i in kept))
+    ranked = [ds.detections[i] for i in order]
+    by_class: dict[int, list[int]] = {}
+    for pos, d in enumerate(ranked):
+        by_class.setdefault(d.class_id, []).append(pos)
+    boxes = _box_array(d.bbox for d in ranked)
+    keep = np.ones(len(ranked), dtype=bool)
+    for members in by_class.values():
+        # the first alive box of a class is kept; it drops the later ones it overlaps
+        alive = np.array(members)
+        while alive.size > 1:
+            head, rest = alive[0], alive[1:]
+            overlap = iou(boxes[head : head + 1], boxes[rest])[0]
+            keep[rest[overlap > iou_threshold]] = False
+            alive = rest[overlap <= iou_threshold]
+    return replace(ds, detections=tuple(d for d, k in zip(ranked, keep.tolist()) if k))

@@ -5,7 +5,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .detect import BoundingBox, iou
+import numpy as np
+
+from .detect import BoundingBox, _box_array, iou
 from .errors import DataError, DetectionFormatError
 from .roi import ObjectDistance
 
@@ -66,50 +68,58 @@ def match_objects(
     right). Returns (pairs, unmatched predictions, unmatched truths);
     classes never cross and no pair is fabricated.
     """
-    pairs: list[MatchedPair] = []
-    used_preds: set[int] = set()
-    used_gts: set[int] = set()
+    p_of: dict[str, list[int]] = {}
+    for i, od in enumerate(preds):
+        p_of.setdefault(od.detection.class_name, []).append(i)
+    g_of: dict[str, list[int]] = {}
+    for j, gt in enumerate(gts):
+        g_of.setdefault(gt.class_name, []).append(j)
 
-    classes = sorted(
-        {od.detection.class_name for od in preds} | {gt.class_name for gt in gts}
-    )
-    for cls in classes:
-        p_idx = [i for i, od in enumerate(preds) if od.detection.class_name == cls]
-        g_idx = [j for j, gt in enumerate(gts) if gt.class_name == cls]
-        if not p_idx or not g_idx:
-            continue
-        have_boxes = all(gts[j].bbox is not None for j in g_idx)
-        if have_boxes:
-            candidates = sorted(
-                (
-                    (iou(preds[i].detection.bbox, gts[j].bbox), i, j)
-                    for i in p_idx
-                    for j in g_idx
-                ),
-                key=lambda t: (-t[0], t[1], t[2]),
-            )
-            for overlap, i, j in candidates:
-                if overlap <= MATCH_IOU_THRESHOLD:
-                    break
-                if i in used_preds or j in used_gts:
-                    continue
-                used_preds.add(i)
-                used_gts.add(j)
-                pairs.append(
-                    MatchedPair(cls, predicted_distance(preds[i]), gts[j].abs_distance)
-                )
+    matched: dict[str, list[tuple[int, int]]] = {}
+    # indices of the classes matched by IoU, with a class code per index
+    boxed_p: list[int] = []
+    boxed_g: list[int] = []
+    p_cls: list[int] = []
+    g_cls: list[int] = []
+    for code, cls in enumerate(sorted(p_of.keys() & g_of.keys())):
+        p_idx, g_idx = p_of[cls], g_of[cls]
+        if all(gts[j].bbox is not None for j in g_idx):
+            boxed_p += p_idx
+            boxed_g += g_idx
+            p_cls += [code] * len(p_idx)
+            g_cls += [code] * len(g_idx)
         else:
             p_sorted = sorted(p_idx, key=lambda i: preds[i].detection.bbox.center_x)
-            for i, j in zip(p_sorted, g_idx):
-                used_preds.add(i)
-                used_gts.add(j)
-                pairs.append(
-                    MatchedPair(cls, predicted_distance(preds[i]), gts[j].abs_distance)
-                )
+            matched[cls] = list(zip(p_sorted, g_idx))
 
-    unmatched_preds = len(preds) - len(used_preds)
-    unmatched_gts = len(gts) - len(used_gts)
-    return pairs, unmatched_preds, unmatched_gts
+    if boxed_p:
+        overlap = iou(
+            _box_array(preds[i].detection.bbox for i in boxed_p),
+            _box_array(gts[j].bbox for j in boxed_g),
+        )
+        rows, cols = np.nonzero(
+            (overlap > MATCH_IOU_THRESHOLD) & (np.array(p_cls)[:, None] == np.array(g_cls))
+        )
+        # nonzero lists candidates by pred then GT position (index order within a
+        # class), so a stable sort on descending IoU gives the greedy order;
+        # classes share no index, so their candidates may interleave
+        order = np.argsort(-overlap[rows, cols], kind="stable")
+        used_preds: set[int] = set()
+        used_gts: set[int] = set()
+        for r, c in zip(rows[order].tolist(), cols[order].tolist()):
+            i, j = boxed_p[r], boxed_g[c]
+            if i in used_preds or j in used_gts:
+                continue
+            used_preds.add(i)
+            used_gts.add(j)
+            matched.setdefault(preds[i].detection.class_name, []).append((i, j))
+
+    pairs = [
+        MatchedPair(cls, predicted_distance(preds[i]), gts[j].abs_distance)
+        for cls in sorted(matched)
+        for i, j in matched[cls]
+    ]
+    return pairs, len(preds) - len(pairs), len(gts) - len(pairs)
 
 
 def rmse(pairs: list[MatchedPair]) -> float:
@@ -147,12 +157,14 @@ def parse_ground_truth(data: bytes | str) -> tuple[str, list[GroundTruthObject]]
     """Parse the `.gt.json` format; bbox is optional per object."""
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DetectionFormatError(f"malformed ground-truth JSON: {e}") from None
     try:
         image = str(doc["image"])
         objects = []
         for o in doc["objects"]:
+            if not isinstance(o, dict):
+                raise DetectionFormatError(f"ground-truth object must be a JSON object, got {o!r}")
             bbox = None
             if o.get("bbox") is not None:
                 bbox = BoundingBox(*(float(v) for v in o["bbox"]))

@@ -197,7 +197,7 @@ def parse_distances(data: bytes | str) -> tuple[str, list[ObjectDistance]]:
     """
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DetectionFormatError(f"malformed distances JSON: {e}") from None
     try:
         image = str(doc["image"])

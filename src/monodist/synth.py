@@ -106,10 +106,14 @@ def parse_scene(data: bytes | str) -> SceneSpec:
     """Parse the `.scene.json` format."""
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SceneError(f"malformed scene JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise SceneError(f"scene must be a JSON object, got {type(doc).__name__}")
     try:
         rng_doc = doc.get("depth_range", {})
+        if not isinstance(rng_doc, dict):
+            raise SceneError(f"depth_range must be a JSON object, got {type(rng_doc).__name__}")
         depth_range = DepthRange(
             min_depth=float(rng_doc.get("min_m", 0.1)),
             max_depth=float(rng_doc.get("max_m", 100.0)),

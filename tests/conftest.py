@@ -21,6 +21,17 @@ REFERENCE_ROWS = [
     ("person", 4.0, 3.88),
 ]
 
+
+def reference_iou(a, b):
+    """The scalar IoU formula of two BoundingBoxes, the reference for `detect.iou`."""
+    ix = min(a.x1, b.x1) - max(a.x0, b.x0)
+    iy = min(a.y1, b.y1) - max(a.y0, b.y0)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    return inter / (a.area + b.area - inter)
+
+
 REFERENCE_ERRORS = [0.69, 0.15, 0.57, 0.05, 0.09, 0.27, 0.13, 0.31, 0.12]
 
 

@@ -1,9 +1,13 @@
 import json
+import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import reference_iou
 from monodist.detect import (
     BoundingBox,
     Detection,
@@ -199,3 +203,96 @@ class TestNms:
                 if a.class_id == b.class_id:
                     assert iou(a.bbox, b.bbox) <= thr
         assert nms(out, thr) == out
+
+
+def reference_nms(ds, iou_threshold):
+    """The pure-Python greedy NMS, kept as the reference for `nms`."""
+    order = sorted(
+        range(len(ds.detections)), key=lambda i: (-ds.detections[i].confidence, i)
+    )
+    kept = []
+    for i in order:
+        d = ds.detections[i]
+        suppressed = any(
+            ds.detections[k].class_id == d.class_id
+            and reference_iou(ds.detections[k].bbox, d.bbox) > iou_threshold
+            for k in kept
+        )
+        if not suppressed:
+            kept.append(i)
+    return replace(ds, detections=tuple(ds.detections[i] for i in kept))
+
+
+def box_rows(boxes):
+    return np.array([(b.x0, b.y0, b.x1, b.y1) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+# small integer grids make touching, nested, disjoint and tied boxes common
+int_boxes = st.builds(
+    lambda x0, y0, dx, dy: BoundingBox(x0, y0, x0 + dx, y0 + dy),
+    st.integers(0, 8), st.integers(0, 8), st.integers(1, 6), st.integers(1, 6),
+)
+float_boxes = st.builds(
+    lambda x0, y0, dx, dy: BoundingBox(x0, y0, x0 + dx, y0 + dy),
+    st.floats(0, 100), st.floats(0, 100), st.floats(1e-3, 100), st.floats(1e-3, 100),
+)
+any_boxes = st.one_of(int_boxes, float_boxes)
+
+
+class TestIouKernel:
+    @given(st.lists(any_boxes, max_size=6), st.lists(any_boxes, max_size=6))
+    def test_matrix_equals_scalar_formula_bit_for_bit(self, a, b):
+        m = iou(box_rows(a), box_rows(b))
+        assert m.shape == (len(a), len(b)) and m.dtype == np.float64
+        for i, p in enumerate(a):
+            for j, q in enumerate(b):
+                assert m[i, j] == reference_iou(p, q)
+                assert math.copysign(1.0, m[i, j]) == 1.0
+
+    @given(any_boxes, any_boxes)
+    def test_box_pair_returns_the_same_float(self, a, b):
+        v = iou(a, b)
+        assert type(v) is float and v == reference_iou(a, b)
+
+    def test_touching_boxes_are_disjoint(self):
+        a, b = BoundingBox(0, 0, 2, 2), BoundingBox(2, 0, 4, 2)
+        assert iou(a, b) == 0.0
+        assert iou(box_rows([a]), box_rows([a, b])).tolist() == [[1.0, 0.0]]
+
+
+def ranked(*specs):
+    """Detections from (x0, y0, x1, y1, conf, class_id) tuples."""
+    return det_set(*(det(*s[:4], conf=s[4], class_id=s[5]) for s in specs))
+
+
+class TestNmsMatchesReference:
+    dets = st.lists(
+        st.tuples(
+            st.integers(0, 12), st.integers(0, 12), st.integers(1, 6), st.integers(1, 6),
+            st.sampled_from([0.3, 0.5, 0.5, 0.9]), st.integers(0, 2),
+        ).map(lambda t: (t[0], t[1], t[0] + t[2], t[1] + t[3], t[4], t[5])),
+        max_size=25,
+    )
+
+    @given(dets, st.sampled_from([0.05, 0.3, 0.45, 0.5, 0.7]))
+    def test_same_greedy_result(self, specs, thr):
+        ds = ranked(*specs)
+        assert nms(ds, thr) == reference_nms(ds, thr)
+
+    def test_iou_exactly_at_threshold_is_kept(self):
+        a, b = (0, 0, 10, 1, 0.9, 0), (1, 0, 20, 1, 0.8, 0)
+        ds = ranked(a, b)
+        assert iou(*(d.bbox for d in ds.detections)) == 0.45
+        assert nms(ds, 0.45) == reference_nms(ds, 0.45) == ds
+
+    def test_confidence_ties_several_classes(self):
+        ds = ranked(
+            (0, 0, 10, 10, 0.5, 1), (0, 0, 10, 10, 0.5, 0), (1, 0, 11, 10, 0.5, 1),
+            (0, 1, 10, 11, 0.5, 0), (30, 30, 40, 40, 0.5, 1), (0, 0, 10, 10, 0.9, 2),
+        )
+        out = nms(ds, 0.45)
+        assert out == reference_nms(ds, 0.45)
+        assert [d.class_id for d in out.detections] == [2, 1, 0, 1]
+
+    def test_empty(self):
+        assert nms(det_set(), 0.45) == reference_nms(det_set(), 0.45) == det_set()

@@ -2,15 +2,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_ERRORS
+from conftest import REFERENCE_ERRORS, reference_iou
 from monodist.detect import BoundingBox, Detection
 from monodist.errors import DataError
 from monodist.evaluate import (
+    MATCH_IOU_THRESHOLD,
     GroundTruthObject,
     MatchedPair,
     build_report,
     match_objects,
     parse_ground_truth,
+    predicted_distance,
     render_table,
     rmse,
     serialize_ground_truth,
@@ -181,3 +183,134 @@ class TestGroundTruthFormat:
     def test_non_positive_distance_rejected(self):
         with pytest.raises(Exception):
             parse_ground_truth(b'{"image": "x", "objects": [{"class_name": "car", "abs_m": 0}]}')
+
+
+def reference_match_objects(preds, gts):
+    """The pure-Python per-class greedy matching, the reference for `match_objects`."""
+    pairs, used_preds, used_gts = [], set(), set()
+    classes = sorted(
+        {od.detection.class_name for od in preds} | {gt.class_name for gt in gts}
+    )
+    for cls in classes:
+        p_idx = [i for i, od in enumerate(preds) if od.detection.class_name == cls]
+        g_idx = [j for j, gt in enumerate(gts) if gt.class_name == cls]
+        if not p_idx or not g_idx:
+            continue
+        if all(gts[j].bbox is not None for j in g_idx):
+            candidates = sorted(
+                (
+                    (reference_iou(preds[i].detection.bbox, gts[j].bbox), i, j)
+                    for i in p_idx
+                    for j in g_idx
+                ),
+                key=lambda t: (-t[0], t[1], t[2]),
+            )
+            for overlap, i, j in candidates:
+                if overlap <= MATCH_IOU_THRESHOLD:
+                    break
+                if i in used_preds or j in used_gts:
+                    continue
+                used_preds.add(i)
+                used_gts.add(j)
+                pairs.append(MatchedPair(cls, predicted_distance(preds[i]), gts[j].abs_distance))
+        else:
+            p_sorted = sorted(p_idx, key=lambda i: preds[i].detection.bbox.center_x)
+            for i, j in zip(p_sorted, g_idx):
+                used_preds.add(i)
+                used_gts.add(j)
+                pairs.append(MatchedPair(cls, predicted_distance(preds[i]), gts[j].abs_distance))
+    return pairs, len(preds) - len(used_preds), len(gts) - len(used_gts)
+
+
+CLASSES = st.sampled_from(["car", "person", "bus"])
+# integer boxes on a small grid, and a few fixed boxes that overlap at IoU
+# 1, exactly 0.5 and just above it, so that ties are common
+grid_box = st.one_of(
+    st.builds(
+        lambda x0, y0, dx, dy: (x0, y0, x0 + dx, y0 + dy),
+        st.integers(0, 6), st.integers(0, 6), st.integers(1, 5), st.integers(1, 5),
+    ),
+    st.sampled_from([(0, 0, 10, 1), (2, 0, 16, 1), (1, 0, 11, 1), (0, 0, 12, 1)]),
+)
+preds_st = st.lists(
+    st.builds(lambda c, b, d: pred(c, d, *b), CLASSES, grid_box, st.integers(1, 50)),
+    max_size=12,
+)
+gts_st = st.lists(
+    st.builds(
+        lambda c, b, d: GroundTruthObject(c, d, bbox=None if b is None else BoundingBox(*b)),
+        CLASSES,
+        st.one_of(grid_box, grid_box, grid_box, st.none()),
+        st.integers(1, 50),
+    ),
+    max_size=12,
+)
+
+
+class TestMatchObjectsMatchesReference:
+    @given(preds_st, gts_st)
+    def test_same_pairs_and_counts(self, preds, gts):
+        assert match_objects(preds, gts) == reference_match_objects(preds, gts)
+
+    def test_iou_exactly_at_threshold_not_matched(self):
+        preds = [pred("car", 5.0, 0, 0, 10, 1)]
+        gts = [GroundTruthObject("car", 5.0, bbox=BoundingBox(2, 0, 16, 1))]
+        assert reference_iou(preds[0].detection.bbox, gts[0].bbox) == 0.5
+        assert match_objects(preds, gts) == reference_match_objects(preds, gts) == ([], 1, 1)
+
+    def test_equal_iou_pairs_taken_in_pred_index_order(self):
+        preds = [pred("car", 1.0, 0, 0, 10, 10), pred("car", 2.0, 20, 0, 30, 10)]
+        gts = [
+            GroundTruthObject("car", 3.0, bbox=BoundingBox(20, 0, 30, 10)),
+            GroundTruthObject("car", 4.0, bbox=BoundingBox(0, 0, 10, 10)),
+        ]
+        got = match_objects(preds, gts)
+        assert got == reference_match_objects(preds, gts)
+        assert [(p.predicted, p.truth) for p in got[0]] == [(1.0, 4.0), (2.0, 3.0)]
+
+    def test_many_equal_iou_candidates_keep_index_order(self):
+        preds = [pred("car", 1.0 + i, 0, 0, 10, 10) for i in range(20)]
+        gts = [GroundTruthObject("car", 30.0 + j, bbox=BoundingBox(0, 0, 10, 10)) for j in range(20)]
+        got = match_objects(preds, gts)
+        assert got == reference_match_objects(preds, gts)
+        assert [(p.predicted, p.truth) for p in got[0]] == [(1.0 + k, 30.0 + k) for k in range(20)]
+
+    def test_classes_never_cross(self):
+        preds = [pred("car", 1.0, 0, 0, 10, 10), pred("bus", 2.0, 20, 0, 30, 10)]
+        gts = [
+            GroundTruthObject("bus", 3.0, bbox=BoundingBox(0, 0, 10, 10)),
+            GroundTruthObject("car", 4.0, bbox=BoundingBox(20, 0, 30, 10)),
+        ]
+        assert match_objects(preds, gts) == reference_match_objects(preds, gts) == ([], 2, 2)
+
+    def test_iou_ties_break_by_pred_then_gt_index(self):
+        preds = [pred("car", 1.0, 1, 0, 11, 10), pred("car", 2.0, 0, 0, 10, 10)]
+        gts = [
+            GroundTruthObject("car", 3.0, bbox=BoundingBox(0, 0, 10, 10)),
+            GroundTruthObject("car", 4.0, bbox=BoundingBox(0, 0, 10, 10)),
+            GroundTruthObject("person", 5.0, bbox=BoundingBox(0, 0, 10, 10)),
+        ]
+        got = match_objects(preds, gts)
+        assert got == reference_match_objects(preds, gts)
+        assert [(p.predicted, p.truth) for p in got[0]] == [(2.0, 3.0), (1.0, 4.0)]
+        assert got[1:] == (0, 1)
+
+    def test_boxed_and_boxless_classes_in_class_order(self):
+        preds = [
+            pred("person", 8.0, 50, 0, 60, 10), pred("car", 5.0, 0, 0, 10, 10),
+            pred("bus", 9.0, 20, 0, 30, 10), pred("person", 7.0, 0, 0, 10, 10),
+        ]
+        gts = [
+            GroundTruthObject("person", 7.5),
+            GroundTruthObject("car", 5.5, bbox=BoundingBox(0, 0, 10, 10)),
+            GroundTruthObject("bus", 9.5, bbox=BoundingBox(20, 0, 30, 10)),
+            GroundTruthObject("person", 8.5, bbox=BoundingBox(50, 0, 60, 10)),
+        ]
+        got = match_objects(preds, gts)
+        assert got == reference_match_objects(preds, gts)
+        assert [p.class_name for p in got[0]] == ["bus", "car", "person", "person"]
+
+    def test_empty_inputs(self):
+        gts = [GroundTruthObject("car", 5.0, bbox=BoundingBox(0, 0, 10, 10))]
+        for preds, g in (([], []), ([pred("car", 5.0)], []), ([], gts)):
+            assert match_objects(preds, g) == reference_match_objects(preds, g)
