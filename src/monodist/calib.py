@@ -3,12 +3,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import _decode, _dump
 from .errors import CalibrationError
 
 # Fitted curve reported for the reference outdoor setup (camera height folded in, h = 1)
@@ -41,9 +41,12 @@ class CalibrationModel:
 
     def __post_init__(self):
         for name in ("c0", "c1", "c2", "h", "fit_rmse"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise CalibrationError(f"camera height must be positive finite, got {self.h}")
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise CalibrationError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
+        if self.h <= 0:
+            raise CalibrationError(f"camera height must be positive, got {self.h}")
         if self.fit_rmse < 0:
             raise CalibrationError(f"fit_rmse must be non-negative, got {self.fit_rmse}")
         if self.n_samples and self.n_samples < 3:
@@ -106,32 +109,26 @@ def apply(model: CalibrationModel, x: float) -> float:
 
 
 def serialize_model(model: CalibrationModel) -> bytes:
-    doc = {
+    return _dump({
         "c0": model.c0,
         "c1": model.c1,
         "c2": model.c2,
         "h_m": model.h,
         "fit_rmse_m": model.fit_rmse,
         "n_samples": model.n_samples,
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    })
 
 
 def deserialize_model(data: bytes | str) -> CalibrationModel:
-    try:
-        doc = json.loads(data)
+    with _decode(data, CalibrationError, "calibration") as doc:
         return CalibrationModel(
-            c0=float(doc["c0"]),
-            c1=float(doc["c1"]),
-            c2=float(doc["c2"]),
-            h=float(doc["h_m"]),
-            fit_rmse=float(doc["fit_rmse_m"]),
+            c0=doc["c0"],
+            c1=doc["c1"],
+            c2=doc["c2"],
+            h=doc["h_m"],
+            fit_rmse=doc["fit_rmse_m"],
             n_samples=int(doc["n_samples"]),
         )
-    except json.JSONDecodeError as e:
-        raise CalibrationError(f"malformed calibration JSON: {e}") from None
-    except (KeyError, TypeError, ValueError) as e:
-        raise CalibrationError(f"missing or malformed field: {e}") from None
 
 
 def read_samples_csv(data: bytes | str) -> list[CalibrationSample]:

@@ -8,15 +8,15 @@ from __future__ import annotations
 
 import argparse
 import enum
-import json
 import os
 import subprocess
 import sys
 from dataclasses import dataclass, field
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from . import calib, detect, evaluate, maps, roi, synth
+from .codec import _decode
 from .errors import BackendError, DataError, MonodistError
 
 CONFIG_ENV_VAR = "MONODIST_CONFIG"
@@ -100,51 +100,39 @@ class PipelineConfig:
 def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
     """Build a PipelineConfig from a JSON file; override values win over file values."""
     try:
-        doc = json.loads(path.read_bytes())
+        data = path.read_bytes()
     except OSError as e:
         raise DataError(f"cannot read config {path}: {e}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise DataError(f"malformed config JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"config must be a JSON object, got {type(doc).__name__}")
-    if overrides:
-        doc.update({k: v for k, v in overrides.items() if v is not None})
 
     try:
-        b = doc["backend"]
-        base = path.parent
-        backend = BackendConfig(
-            mode=BackendMode(b["mode"]),
-            depth_dir=base / b["depth_dir"] if b.get("depth_dir") else None,
-            det_dir=base / b["det_dir"] if b.get("det_dir") else None,
-            depth_command=b.get("depth_command"),
-            det_command=b.get("det_command"),
-            depth_kind=maps.MapKind(b.get("depth_kind", "disparity")),
-        )
-        backend.validate()
-        rng_doc = doc.get("depth_range", {})
-        if not isinstance(rng_doc, dict):
-            raise DataError(f"depth_range must be a JSON object, got {type(rng_doc).__name__}")
-        depth_range = maps.DepthRange(
-            min_depth=float(rng_doc.get("min_m", 0.1)),
-            max_depth=float(rng_doc.get("max_m", 100.0)),
-        )
-        model = None
-        model_path = doc.get("calibration_model_path")
-        if model_path:
-            model = calib.deserialize_model((base / model_path).read_bytes())
-        return PipelineConfig(
-            backend=backend,
-            depth_range=depth_range,
-            min_conf=float(doc.get("min_conf", detect.DEFAULT_MIN_CONFIDENCE)),
-            iou_threshold=float(doc.get("iou_threshold", detect.DEFAULT_IOU_THRESHOLD)),
-            calibration_model=model,
-            eval_threshold=float(
-                doc.get("eval_threshold_m", evaluate.DEFAULT_ACCURACY_THRESHOLD_M)
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"bad config field: {e}") from None
+        with _decode(data, DataError, "config") as doc:
+            if overrides:
+                doc.update({k: v for k, v in overrides.items() if v is not None})
+            b = doc["backend"]
+            base = path.parent
+            backend = BackendConfig(
+                mode=BackendMode(b["mode"]),
+                depth_dir=base / b["depth_dir"] if b.get("depth_dir") else None,
+                det_dir=base / b["det_dir"] if b.get("det_dir") else None,
+                depth_command=b.get("depth_command"),
+                det_command=b.get("det_command"),
+                depth_kind=maps.MapKind(b.get("depth_kind", "disparity")),
+            )
+            backend.validate()
+            model = None
+            model_path = doc.get("calibration_model_path")
+            if model_path:
+                model = calib.deserialize_model((base / model_path).read_bytes())
+            return PipelineConfig(
+                backend=backend,
+                depth_range=maps.DepthRange.from_dict(doc.get("depth_range", {})),
+                min_conf=float(doc.get("min_conf", detect.DEFAULT_MIN_CONFIDENCE)),
+                iou_threshold=float(doc.get("iou_threshold", detect.DEFAULT_IOU_THRESHOLD)),
+                calibration_model=model,
+                eval_threshold=float(
+                    doc.get("eval_threshold_m", evaluate.DEFAULT_ACCURACY_THRESHOLD_M)
+                ),
+            )
     except OSError as e:
         raise DataError(f"cannot read referenced file: {e}") from None
 
@@ -186,7 +174,7 @@ def render_svg(
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
-        f"  <!-- {escape(image_id)} -->",
+        f"  <!-- {escape(image_id, quote=False)} -->",
     ]
     for od in objects:
         b = od.detection.bbox
@@ -198,7 +186,7 @@ def render_svg(
         )
         lines.append(
             f'  <text x="{b.x0:g}" y="{max(b.y0 - 4, 10):g}" fill="lime" '
-            f'font-family="monospace" font-size="14">{escape(label)}</text>'
+            f'font-family="monospace" font-size="14">{escape(label, quote=False)}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,12 +1,12 @@
 """Detection data model, JSON (de)serialization and detector postprocessing."""
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .codec import _decode, _dump
 from .errors import DataError, DetectionFormatError
 
 DEFAULT_MIN_CONFIDENCE = 0.25
@@ -76,64 +76,53 @@ class DetectionSet:
         object.__setattr__(self, "detections", tuple(self.detections))
 
 
-def _clamp_bbox(raw: list, width: int, height: int) -> BoundingBox:
+def _bbox_list(box: BoundingBox) -> list[float]:
+    """Encode a box as the `[x0, y0, x1, y1]` list every record format uses."""
+    return [box.x0, box.y0, box.x1, box.y1]
+
+
+def _bbox_coords(raw) -> tuple[float, float, float, float]:
+    """Decode a `[x0, y0, x1, y1]` list into four floats; the caller builds the box."""
     if not (isinstance(raw, list) and len(raw) == 4):
-        raise DetectionFormatError(f"bbox must be a 4-element list, got {raw!r}")
-    x0, y0, x1, y1 = (float(v) for v in raw)
+        raise DataError(f"bbox must be a 4-element list, got {raw!r}")
+    x0, y0, x1, y1 = raw
+    return float(x0), float(y0), float(x1), float(y1)
+
+
+def _clamp_bbox(raw, width: int, height: int) -> BoundingBox:
+    x0, y0, x1, y1 = _bbox_coords(raw)
     if x0 >= x1 or y0 >= y1:
-        raise DetectionFormatError(f"inverted bbox {raw}")
+        raise DataError(f"inverted bbox {raw}")
     x0 = min(max(x0, 0.0), float(width))
     x1 = min(max(x1, 0.0), float(width))
     y0 = min(max(y0, 0.0), float(height))
     y1 = min(max(y1, 0.0), float(height))
     if x0 >= x1 or y0 >= y1:
-        raise DetectionFormatError(f"bbox {raw} is empty after clamping to image bounds")
+        raise DataError(f"bbox {raw} is empty after clamping to image bounds")
     return BoundingBox(x0, y0, x1, y1)
 
 
 def parse_detections(data: bytes | str) -> DetectionSet:
     """Parse the `.det.json` format. Boxes are clamped to image bounds."""
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise DetectionFormatError(f"malformed detection JSON: {e}") from None
-    try:
-        image = doc["image"]
+    with _decode(data, DetectionFormatError, "detection") as doc:
+        image = str(doc["image"])
         width = int(doc["width"])
         height = int(doc["height"])
-        raw_dets = doc["detections"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise DetectionFormatError(f"missing or malformed field: {e}") from None
-
-    dets = []
-    for i, d in enumerate(raw_dets):
-        try:
-            conf = float(d["confidence"])
-            if not 0.0 <= conf <= 1.0:
-                raise DetectionFormatError(
-                    f"detection {i}: confidence {conf} outside [0, 1]"
-                )
-            dets.append(
-                Detection(
-                    class_id=int(d["class_id"]),
-                    class_name=str(d["class_name"]),
-                    confidence=conf,
-                    bbox=_clamp_bbox(d["bbox"], width, height),
-                )
+        dets = [
+            Detection(
+                class_id=int(d["class_id"]),
+                class_name=str(d["class_name"]),
+                confidence=d["confidence"],
+                bbox=_clamp_bbox(d["bbox"], width, height),
             )
-        except (KeyError, TypeError, ValueError) as e:
-            raise DetectionFormatError(f"detection {i}: {e}") from None
-        except DataError as e:
-            raise DetectionFormatError(f"detection {i}: {e}") from None
-    try:
-        return DetectionSet(str(image), width, height, tuple(dets))
-    except DataError as e:
-        raise DetectionFormatError(str(e)) from None
+            for d in doc["detections"]
+        ]
+        return DetectionSet(image, width, height, tuple(dets))
 
 
 def serialize_detections(ds: DetectionSet) -> bytes:
     """Canonical `.det.json` form: fixed field order, shortest float repr."""
-    doc = {
+    return _dump({
         "image": ds.image_id,
         "width": ds.image_width,
         "height": ds.image_height,
@@ -142,12 +131,11 @@ def serialize_detections(ds: DetectionSet) -> bytes:
                 "class_id": d.class_id,
                 "class_name": d.class_name,
                 "confidence": d.confidence,
-                "bbox": [d.bbox.x0, d.bbox.y0, d.bbox.x1, d.bbox.y1],
+                "bbox": _bbox_list(d.bbox),
             }
             for d in ds.detections
         ],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    })
 
 
 def _box_array(boxes: Iterable[BoundingBox]) -> np.ndarray:

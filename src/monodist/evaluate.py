@@ -1,13 +1,13 @@
 """Prediction/ground-truth matching and the distance metrics (RMSE, threshold accuracy)."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import BoundingBox, _box_array, iou
+from .codec import _decode, _dump
+from .detect import BoundingBox, _bbox_coords, _bbox_list, _box_array, iou
 from .errors import DataError, DetectionFormatError
 from .roi import ObjectDistance
 
@@ -155,54 +155,39 @@ def build_report(
 
 def parse_ground_truth(data: bytes | str) -> tuple[str, list[GroundTruthObject]]:
     """Parse the `.gt.json` format; bbox is optional per object."""
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise DetectionFormatError(f"malformed ground-truth JSON: {e}") from None
-    try:
+    with _decode(data, DetectionFormatError, "ground-truth") as doc:
         image = str(doc["image"])
         objects = []
         for o in doc["objects"]:
             if not isinstance(o, dict):
-                raise DetectionFormatError(f"ground-truth object must be a JSON object, got {o!r}")
-            bbox = None
-            if o.get("bbox") is not None:
-                bbox = BoundingBox(*(float(v) for v in o["bbox"]))
+                raise DataError(f"ground-truth object must be a JSON object, got {o!r}")
+            bbox = o.get("bbox")
             objects.append(
                 GroundTruthObject(
                     class_name=str(o["class_name"]),
-                    abs_distance=float(o["abs_m"]),
-                    bbox=bbox,
+                    abs_distance=o["abs_m"],
+                    bbox=None if bbox is None else BoundingBox(*_bbox_coords(bbox)),
                 )
             )
-    except (KeyError, TypeError, ValueError) as e:
-        raise DetectionFormatError(f"missing or malformed field: {e}") from None
-    except DataError as e:
-        raise DetectionFormatError(str(e)) from None
-    return image, objects
+        return image, objects
 
 
 def serialize_ground_truth(image_id: str, gts: list[GroundTruthObject]) -> bytes:
-    doc = {
+    return _dump({
         "image": image_id,
         "objects": [
             {
                 "class_name": gt.class_name,
                 "abs_m": gt.abs_distance,
-                **(
-                    {"bbox": [gt.bbox.x0, gt.bbox.y0, gt.bbox.x1, gt.bbox.y1]}
-                    if gt.bbox is not None
-                    else {}
-                ),
+                **({"bbox": _bbox_list(gt.bbox)} if gt.bbox is not None else {}),
             }
             for gt in gts
         ],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    })
 
 
 def serialize_report(report: MetricsReport) -> bytes:
-    doc = {
+    return _dump({
         "rmse_m": report.rmse,
         "accuracy": report.accuracy,
         "threshold_m": report.threshold,
@@ -217,8 +202,7 @@ def serialize_report(report: MetricsReport) -> bytes:
             }
             for p in report.pairs
         ],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    })
 
 
 def render_table(report: MetricsReport) -> str:

@@ -31,6 +31,16 @@ class DepthRange:
                 f"({self.min_depth}, {self.max_depth})"
             )
 
+    @classmethod
+    def from_dict(cls, doc) -> DepthRange:
+        """Decode a `{"min_m", "max_m"}` record object; a missing key takes the default."""
+        if not isinstance(doc, dict):
+            raise DataError(f"depth_range must be a JSON object, got {type(doc).__name__}")
+        return cls(doc.get("min_m", cls.min_depth), doc.get("max_m", cls.max_depth))
+
+    def to_dict(self) -> dict:
+        return {"min_m": self.min_depth, "max_m": self.max_depth}
+
 
 @dataclass(frozen=True)
 class ScalarMap:

@@ -1,13 +1,13 @@
 """Bounding-box projection onto the depth grid and median-pooled relative distance."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import BoundingBox, Detection, DetectionSet
+from .codec import _decode, _dump
+from .detect import BoundingBox, Detection, DetectionSet, _bbox_coords, _bbox_list
 from .errors import DataError, DegenerateRoiError, DetectionFormatError
 from .maps import DepthRange, MapKind, ScalarMap, disparity_to_depth_value
 
@@ -160,12 +160,7 @@ def serialize_distances(
             {
                 "class_name": od.detection.class_name,
                 "confidence": od.detection.confidence,
-                "bbox": [
-                    od.detection.bbox.x0,
-                    od.detection.bbox.y0,
-                    od.detection.bbox.x1,
-                    od.detection.bbox.y1,
-                ],
+                "bbox": _bbox_list(od.detection.bbox),
                 "rev_m": od.rev,
                 "abs_m": od.abs,
             }
@@ -176,17 +171,12 @@ def serialize_distances(
         doc["failures"] = [
             {
                 "class_name": f.detection.class_name,
-                "bbox": [
-                    f.detection.bbox.x0,
-                    f.detection.bbox.y0,
-                    f.detection.bbox.x1,
-                    f.detection.bbox.y1,
-                ],
+                "bbox": _bbox_list(f.detection.bbox),
                 "reason": f.reason,
             }
             for f in failures
         ]
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return _dump(doc)
 
 
 def parse_distances(data: bytes | str) -> tuple[str, list[ObjectDistance]]:
@@ -195,31 +185,17 @@ def parse_distances(data: bytes | str) -> tuple[str, list[ObjectDistance]]:
     The file does not carry class ids, so reconstructed detections use
     class_id 0; evaluation matches on class_name only.
     """
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise DetectionFormatError(f"malformed distances JSON: {e}") from None
-    try:
-        image = str(doc["image"])
-        objects = []
-        for o in doc["objects"]:
-            bbox = BoundingBox(*(float(v) for v in o["bbox"]))
-            det = Detection(
-                class_id=0,
-                class_name=str(o["class_name"]),
-                confidence=float(o["confidence"]),
-                bbox=bbox,
+    with _decode(data, DetectionFormatError, "distances") as doc:
+        return str(doc["image"]), [
+            ObjectDistance(
+                detection=Detection(
+                    class_id=0,
+                    class_name=str(o["class_name"]),
+                    confidence=o["confidence"],
+                    bbox=BoundingBox(*_bbox_coords(o["bbox"])),
+                ),
+                rev=o["rev_m"],
+                abs=o["abs_m"],
             )
-            abs_m = o["abs_m"]
-            objects.append(
-                ObjectDistance(
-                    detection=det,
-                    rev=float(o["rev_m"]),
-                    abs=None if abs_m is None else float(abs_m),
-                )
-            )
-    except (KeyError, TypeError, ValueError) as e:
-        raise DetectionFormatError(f"missing or malformed field: {e}") from None
-    except DataError as e:
-        raise DetectionFormatError(str(e)) from None
-    return image, objects
+            for o in doc["objects"]
+        ]

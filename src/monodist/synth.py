@@ -6,13 +6,13 @@ checked analytically.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detect import BoundingBox, Detection, DetectionSet
+from .codec import _decode, _dump
+from .detect import BoundingBox, Detection, DetectionSet, _bbox_coords, _bbox_list
 from .errors import SceneError
 from .evaluate import GroundTruthObject
 from .maps import DepthRange, MapKind, ScalarMap, depth_to_disparity_value
@@ -51,8 +51,11 @@ class SceneSpec:
                 raise SceneError(f"object depth {obj.depth} outside range")
             if obj.bbox.x1 > self.map_width or obj.bbox.y1 > self.map_height:
                 raise SceneError(f"object box {obj.bbox} outside {self.map_width}x{self.map_height} map")
-        if self.noise_amplitude < 0:
-            raise SceneError(f"noise amplitude must be non-negative, got {self.noise_amplitude}")
+        # disparity is clipped to [0, 1], so a larger amplitude only saturates pixels
+        if not 0.0 <= self.noise_amplitude <= 1.0:
+            raise SceneError(f"noise amplitude must be in [0, 1], got {self.noise_amplitude}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise SceneError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "objects", tuple(self.objects))
 
 
@@ -104,56 +107,40 @@ def render_scene(
 
 def parse_scene(data: bytes | str) -> SceneSpec:
     """Parse the `.scene.json` format."""
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise SceneError(f"malformed scene JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise SceneError(f"scene must be a JSON object, got {type(doc).__name__}")
-    try:
-        rng_doc = doc.get("depth_range", {})
-        if not isinstance(rng_doc, dict):
-            raise SceneError(f"depth_range must be a JSON object, got {type(rng_doc).__name__}")
-        depth_range = DepthRange(
-            min_depth=float(rng_doc.get("min_m", 0.1)),
-            max_depth=float(rng_doc.get("max_m", 100.0)),
-        )
+    with _decode(data, SceneError, "scene") as doc:
         objects = tuple(
             SceneObject(
                 class_name=str(o["class_name"]),
-                depth=float(o["depth_m"]),
-                bbox=BoundingBox(*(float(v) for v in o["bbox"])),
+                depth=o["depth_m"],
+                bbox=BoundingBox(*_bbox_coords(o["bbox"])),
             )
             for o in doc.get("objects", [])
         )
         return SceneSpec(
             map_width=int(doc["map_width"]),
             map_height=int(doc["map_height"]),
-            background_depth=float(doc["background_depth_m"]),
+            background_depth=doc["background_depth_m"],
             objects=objects,
-            depth_range=depth_range,
-            noise_amplitude=float(doc.get("noise_amplitude", 0.0)),
+            depth_range=DepthRange.from_dict(doc.get("depth_range", {})),
+            noise_amplitude=doc.get("noise_amplitude", 0.0),
             seed=int(doc.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as e:
-        raise SceneError(f"missing or malformed field: {e}") from None
 
 
 def serialize_scene(spec: SceneSpec) -> bytes:
-    doc = {
+    return _dump({
         "map_width": spec.map_width,
         "map_height": spec.map_height,
         "background_depth_m": spec.background_depth,
-        "depth_range": {"min_m": spec.depth_range.min_depth, "max_m": spec.depth_range.max_depth},
+        "depth_range": spec.depth_range.to_dict(),
         "objects": [
             {
                 "class_name": o.class_name,
                 "depth_m": o.depth,
-                "bbox": [o.bbox.x0, o.bbox.y0, o.bbox.x1, o.bbox.y1],
+                "bbox": _bbox_list(o.bbox),
             }
             for o in spec.objects
         ],
         "noise_amplitude": spec.noise_amplitude,
         "seed": spec.seed,
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    })

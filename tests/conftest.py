@@ -1,7 +1,11 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import monodist
 from monodist.evaluate import MatchedPair
 
 # numpy/BLAS warmup makes first-example timings meaningless
@@ -20,6 +24,13 @@ REFERENCE_ROWS = [
     ("person", 12.0, 11.69),
     ("person", 4.0, 3.88),
 ]
+
+
+def checkout_env():
+    """The environment for a child interpreter that imports this checkout's monodist."""
+    src = str(Path(monodist.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def reference_iou(a, b):

@@ -148,6 +148,21 @@ class TestModelSerialization:
         with pytest.raises(CalibrationError):
             deserialize_model(b"{")
 
+    @pytest.mark.parametrize("field", ["c0", "c1", "c2", "fit_rmse_m"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_field_rejected(self, field, value):
+        doc = {"c0": "1", "c1": "2", "c2": "3", "h_m": "1", "fit_rmse_m": "0", "n_samples": "5"}
+        doc[field] = value
+        data = ("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}").encode()
+        with pytest.raises(CalibrationError, match="must be finite"):
+            deserialize_model(data)
+
+    @pytest.mark.parametrize("field", ["c0", "c1", "c2", "fit_rmse"])
+    def test_model_rejects_non_finite(self, field):
+        kw = {"c0": 1.0, "c1": 2.0, "c2": 3.0, "h": 1.0, "fit_rmse": 0.0, field: float("nan")}
+        with pytest.raises(CalibrationError):
+            CalibrationModel(**kw)
+
 
 class TestSamplesCsv:
     def test_read(self):

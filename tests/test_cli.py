@@ -1,14 +1,12 @@
 import json
-import os
 import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import monodist
+from conftest import checkout_env
 from monodist import cli
 from monodist.calib import REFERENCE_COEFFS, CalibrationModel, serialize_model
 from monodist.detect import BoundingBox, Detection, DetectionSet, serialize_detections
@@ -19,6 +17,13 @@ from monodist.synth import SceneObject, SceneSpec, serialize_scene
 
 def run(argv):
     return cli.dispatch(shlex.split(argv) if isinstance(argv, str) else argv)
+
+
+def run_python(code):
+    return subprocess.run(
+        [sys.executable, "-c", code], env=checkout_env(), capture_output=True, text=True,
+        timeout=120,
+    )
 
 
 def write_scene(tmp_path, objects, name="scene", **kw):
@@ -297,6 +302,17 @@ class TestAnnotate:
         assert "car 10.12 m" in svg
         assert 'width="640"' in svg and 'height="480"' in svg
 
+    def test_markup_in_class_name_is_escaped(self, tmp_path):
+        od = {"class_name": "<&>", "confidence": 0.9, "bbox": [10, 20, 110, 80],
+              "rev_m": 9.8, "abs_m": None}
+        dist = tmp_path / "img.dist.json"
+        dist.write_text(json.dumps({"image": "a<b>&c", "objects": [od]}))
+        out = tmp_path / "overlay.svg"
+        assert run(f"annotate --distances {dist} --image-size 640x480 --out {out}") == 0
+        svg = out.read_text()
+        assert "<!-- a&lt;b&gt;&amp;c -->" in svg
+        assert ">&lt;&amp;&gt; 9.80 m</text>" in svg
+
     def test_bad_size_exit_1(self, tmp_path):
         dist = tmp_path / "img.dist.json"
         dist.write_text(json.dumps({"image": "img", "objects": []}))
@@ -343,10 +359,15 @@ class TestPredictPooling:
             f"assert cli.dispatch({argv!r}) == 0\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
         )
-        src = str(Path(monodist.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
+        proc = run_python(code)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_out_xml_sax():
+    # xml.sax.saxutils pulls in urllib.request, tens of ms of every cold command
+    proc = run_python(
+        "import sys\n"
+        "import monodist.cli\n"
+        "assert 'xml.sax' not in sys.modules, 'xml.sax was imported'\n"
+    )
+    assert proc.returncode == 0, proc.stderr

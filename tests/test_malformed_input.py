@@ -1,29 +1,32 @@
 """Malformed input files end in a DataError: exit 2 from the CLI, never a traceback."""
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import checkout_env
 from hypothesis import given
 from hypothesis import strategies as st
 
-import monodist
 from monodist import calib, cli, detect, evaluate, maps, roi, synth
 from monodist.detect import BoundingBox, Detection
-from monodist.errors import DataError
+from monodist.errors import (
+    CalibrationError,
+    DataError,
+    DetectionFormatError,
+    PfmFormatError,
+    SceneError,
+)
 
 NOT_UTF8 = b"\xff\xfe\x00x_m,y_abs_m\n1,2\n"
+SCENE = b'{"map_width": 8, "map_height": 8, "background_depth_m": 50, %s}'
 
 
 def run_cli(argv, cwd):
-    src = str(Path(monodist.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "monodist.cli", *argv],
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env=checkout_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -60,8 +63,13 @@ def calibrate_argv(tmp_path, csv_bytes):
         (predict_argv, b'[{"backend": {"mode": "files"}}]'),
         (synth_argv, b'[{"map_width": 8}]'),
         (calibrate_argv, NOT_UTF8),
+        (synth_argv, SCENE % b'"noise_amplitude": 0.1, "seed": -1'),
+        (synth_argv, SCENE % b'"noise_amplitude": 1e308'),
     ],
-    ids=["gt_object_not_a_dict", "gt_not_utf8", "config_is_a_list", "scene_is_a_list", "csv_not_utf8"],
+    ids=[
+        "gt_object_not_a_dict", "gt_not_utf8", "config_is_a_list", "scene_is_a_list",
+        "csv_not_utf8", "scene_negative_seed", "scene_huge_noise",
+    ],
 )
 def test_malformed_file_exits_2_without_traceback(tmp_path, make_argv, payload):
     proc = run_cli(make_argv(tmp_path, payload), tmp_path)
@@ -70,14 +78,15 @@ def test_malformed_file_exits_2_without_traceback(tmp_path, make_argv, payload):
     assert proc.stderr.startswith("monodist ")
 
 
+# each parser and the one DataError subclass it may raise
 PARSERS = {
-    "detections": detect.parse_detections,
-    "ground_truth": evaluate.parse_ground_truth,
-    "scene": synth.parse_scene,
-    "distances": roi.parse_distances,
-    "calibration_model": calib.deserialize_model,
-    "samples_csv": calib.read_samples_csv,
-    "pfm": maps.read_pfm,
+    "detections": (detect.parse_detections, DetectionFormatError),
+    "ground_truth": (evaluate.parse_ground_truth, DetectionFormatError),
+    "scene": (synth.parse_scene, SceneError),
+    "distances": (roi.parse_distances, DetectionFormatError),
+    "calibration_model": (calib.deserialize_model, CalibrationError),
+    "samples_csv": (calib.read_samples_csv, CalibrationError),
+    "pfm": (maps.read_pfm, PfmFormatError),
 }
 
 json_values = st.recursive(
@@ -103,10 +112,57 @@ payloads = st.one_of(documents.map(lambda d: json.dumps(d).encode()), st.binary(
 
 @given(st.sampled_from(sorted(PARSERS)), payloads)
 def test_parsers_raise_only_data_errors(name, payload):
+    parse, error = PARSERS[name]
     try:
-        PARSERS[name](payload)
-    except DataError:
+        parse(payload)
+    except error:
         pass
+
+
+# one valid document per bbox-carrying format, with the box left as a placeholder
+BBOX_DOCS = {
+    "detections": '{"image": "a", "width": 9, "height": 9, "detections": '
+    '[{"class_id": 0, "class_name": "car", "confidence": 0.5, "bbox": %s}]}',
+    "ground_truth": '{"image": "a", "objects": [{"class_name": "car", "abs_m": 5, "bbox": %s}]}',
+    "scene": '{"map_width": 9, "map_height": 9, "background_depth_m": 50, '
+    '"objects": [{"class_name": "car", "depth_m": 5, "bbox": %s}]}',
+    "distances": '{"image": "a", "objects": [{"class_name": "car", "confidence": 0.5, '
+    '"bbox": %s, "rev_m": 5, "abs_m": null}]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(BBOX_DOCS))
+def test_bbox_must_be_a_list_of_four(name):
+    parse, error = PARSERS[name]
+    assert parse(BBOX_DOCS[name] % "[1, 2, 3, 4]")
+    for bad in ('"1234"', "[1, 2, 3]", "[1, 2, 3, 4, 5]", '{"x0": 1}', '["a", 2, 3, 4]'):
+        with pytest.raises(error):
+            parse(BBOX_DOCS[name] % bad)
+
+
+@pytest.mark.parametrize(
+    "name, payload",
+    [
+        ("scene", SCENE % b'"objects": [{"class_name": "c", "depth_m": 5, "bbox": [4, 0, 2, 2]}]'),
+        ("scene", SCENE % b'"depth_range": {"min_m": 5, "max_m": 1}'),
+        ("scene", SCENE % b'"noise_amplitude": NaN'),
+        ("scene", SCENE % b'"seed": Infinity'),
+        ("detections", b'{"image": "a", "width": Infinity, "height": 2, "detections": []}'),
+        ("calibration_model", b'{"c0": 1, "c1": 0, "c2": 0, "h_m": 1, "fit_rmse_m": 0, '
+                              b'"n_samples": -Infinity}'),
+    ],
+    ids=["inverted_bbox", "inverted_depth_range", "nan_noise", "infinite_seed",
+         "infinite_width", "infinite_n_samples"],
+)
+def test_invalid_values_raise_the_parsers_own_error(name, payload):
+    parse, error = PARSERS[name]
+    with pytest.raises(error):
+        parse(payload)
+
+
+def test_bad_utf8_is_reported_as_bad_json():
+    with pytest.raises(CalibrationError, match="malformed calibration JSON"):
+        calib.deserialize_model(b"\xff")
 
 
 @given(payloads)

@@ -70,6 +70,25 @@ class TestRenderScene:
         assert (a.values == b.values).all()
         assert a.values.min() >= 0.0 and a.values.max() <= 1.0
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(noise_amplitude=float("nan")),
+            dict(noise_amplitude=float("inf")),
+            dict(noise_amplitude=1.5),
+            dict(noise_amplitude=-0.1),
+            dict(seed=-1),
+            dict(seed=1.5),
+        ],
+    )
+    def test_bad_noise_or_seed_rejected(self, kw):
+        with pytest.raises(SceneError):
+            scene(**kw)
+
+    def test_full_scale_noise_renders(self):
+        disp, _, _ = render_scene(scene(noise_amplitude=1.0, seed=0))
+        assert disp.values.min() >= 0.0 and disp.values.max() <= 1.0
+
 
 class TestOracleClosure:
     def test_measured_rev_matches_spec_depth(self, rng):
