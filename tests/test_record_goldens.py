@@ -7,6 +7,7 @@ serialise to the same bytes.
 """
 from dataclasses import replace
 
+from monodist import cli
 from monodist.calib import CalibrationModel, deserialize_model, serialize_model
 from monodist.detect import (
     BoundingBox,
@@ -232,3 +233,124 @@ def test_scene_golden():
     assert data == SCENE.encode()
     assert parse_scene(data) == spec
     assert serialize_scene(parse_scene(data)) == data
+
+
+# Three images: "b" is split across two --pred files, "person" GT has no boxes
+# (matched in centre-x order), the bus prediction is uncalibrated (scored on
+# REV), and each side has unmatched objects, including a class the other lacks.
+def _od(cls, box, rev, abs=None):
+    return ObjectDistance(Detection(0, cls, 0.9, BoundingBox(*box)), rev=rev, abs=abs)
+
+
+EVAL_PREDS = {
+    "a.dist.json": ("a", [
+        _od("car", (10, 10, 50, 40), 12.0, 11.5),
+        _od("car", (100, 10, 140, 40), 20.25),
+        _od("person", (200, 50, 220, 100), 5.0, 5.1),
+    ]),
+    "b1.dist.json": ("b", [
+        _od("person", (100, 10, 120, 60), 3.7, 3.9),
+        _od("car", (50, 20, 90, 50), 15.0, 0.1 + 15.2),
+    ]),
+    "c.dist.json": ("c", [
+        _od("bus", (0, 0, 100, 80), 30.2),
+        _od("person", (5, 5, 15, 30), 6.0, 6.3),
+    ]),
+    "b2.dist.json": ("b", [
+        _od("person", (10, 10, 30, 60), 7.0, 7.2),
+        _od("truck", (0, 0, 10, 10), 9.0, 9.0),
+    ]),
+}
+EVAL_TRUTHS = {
+    "c.gt.json": ("c", [
+        GroundTruthObject("bus", 30.0, BoundingBox(5, 0, 100, 80)),
+        GroundTruthObject("car", 8.0, BoundingBox(0, 0, 10, 10)),
+    ]),
+    "a.gt.json": ("a", [
+        GroundTruthObject("person", 5.0),
+        GroundTruthObject("car", 30.0, BoundingBox(300, 10, 340, 40)),
+        GroundTruthObject("car", 11.4, BoundingBox(12, 10, 52, 40)),
+    ]),
+    "b.gt.json": ("b", [
+        GroundTruthObject("person", 7.0),
+        GroundTruthObject("car", 15.0, BoundingBox(52, 20, 92, 50)),
+        GroundTruthObject("person", 3.8),
+    ]),
+}
+
+MULTI_IMAGE_REPORT = """{
+  "rmse_m": 0.18257418583505491,
+  "accuracy": 0.8333333333333334,
+  "threshold_m": 0.25,
+  "unmatched_predictions": 3,
+  "unmatched_truths": 2,
+  "pairs": [
+    {
+      "class_name": "car",
+      "truth_m": 11.4,
+      "predicted_m": 11.5,
+      "error_m": 0.09999999999999964
+    },
+    {
+      "class_name": "person",
+      "truth_m": 5.0,
+      "predicted_m": 5.1,
+      "error_m": 0.09999999999999964
+    },
+    {
+      "class_name": "car",
+      "truth_m": 15.0,
+      "predicted_m": 15.299999999999999,
+      "error_m": 0.29999999999999893
+    },
+    {
+      "class_name": "person",
+      "truth_m": 7.0,
+      "predicted_m": 7.2,
+      "error_m": 0.20000000000000018
+    },
+    {
+      "class_name": "person",
+      "truth_m": 3.8,
+      "predicted_m": 3.9,
+      "error_m": 0.10000000000000009
+    },
+    {
+      "class_name": "bus",
+      "truth_m": 30.0,
+      "predicted_m": 30.2,
+      "error_m": 0.1999999999999993
+    }
+  ]
+}
+"""
+
+MULTI_IMAGE_TABLE = """\
+Object  Absolute distance (m)  Predicted distance (m)  Error (m)
+------  ---------------------  ----------------------  ---------
+car     11.40                  11.50                   0.10
+person  5.00                   5.10                    0.10
+car     15.00                  15.30                   0.30
+person  7.00                   7.20                    0.20
+person  3.80                   3.90                    0.10
+bus     30.00                  30.20                   0.20
+
+RMSE: 0.1826 m   accuracy(T=0.25 m): 0.8333   unmatched preds: 3   unmatched GT: 2
+"""
+
+
+def test_multi_image_evaluate_golden(tmp_path, capsys):
+    for name, (image_id, objects) in EVAL_PREDS.items():
+        (tmp_path / name).write_bytes(serialize_distances(image_id, objects))
+    for name, (image_id, gts) in EVAL_TRUTHS.items():
+        (tmp_path / name).write_bytes(serialize_ground_truth(image_id, gts))
+    out = tmp_path / "report.json"
+    rc = cli.dispatch([
+        "evaluate",
+        "--pred", *(str(tmp_path / n) for n in EVAL_PREDS),
+        "--gt", *(str(tmp_path / n) for n in EVAL_TRUTHS),
+        "--threshold", "0.25", "--out", str(out),
+    ])
+    assert rc == 0
+    assert out.read_bytes() == MULTI_IMAGE_REPORT.encode()
+    assert capsys.readouterr().out == MULTI_IMAGE_TABLE
