@@ -93,8 +93,7 @@ class PipelineConfig:
             raise DataError(f"min_conf {self.min_conf} outside [0, 1]")
         if not 0.0 < self.iou_threshold < 1.0:
             raise DataError(f"iou_threshold {self.iou_threshold} outside (0, 1)")
-        if self.eval_threshold <= 0:
-            raise DataError(f"eval_threshold must be positive, got {self.eval_threshold}")
+        evaluate._check_threshold(self.eval_threshold)
 
 
 def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
@@ -231,30 +230,11 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    preds_by_image: dict[str, list[roi.ObjectDistance]] = {}
-    gts_by_image: dict[str, list[evaluate.GroundTruthObject]] = {}
-    for p in args.pred:
-        image_id, objects = roi.parse_distances(Path(p).read_bytes())
-        preds_by_image.setdefault(image_id, []).extend(objects)
-    for g in args.gt:
-        image_id, gts = evaluate.parse_ground_truth(Path(g).read_bytes())
-        gts_by_image.setdefault(image_id, []).extend(gts)
-
-    all_pairs: list[evaluate.MatchedPair] = []
-    unmatched_preds = 0
-    unmatched_gts = 0
-    for image_id in sorted(preds_by_image.keys() | gts_by_image.keys()):
-        pairs, up, ug = evaluate.match_objects(
-            preds_by_image.get(image_id, []), gts_by_image.get(image_id, [])
-        )
-        all_pairs.extend(pairs)
-        unmatched_preds += up
-        unmatched_gts += ug
-    if not all_pairs:
-        print("evaluate: no matched prediction/ground-truth pairs", file=sys.stderr)
-        return EXIT_DATA
-
-    report = evaluate.build_report(all_pairs, unmatched_preds, unmatched_gts, args.threshold)
+    report = evaluate.evaluate_files(
+        [Path(p).read_bytes() for p in args.pred],
+        [Path(g).read_bytes() for g in args.gt],
+        args.threshold,
+    )
     Path(args.out).write_bytes(evaluate.serialize_report(report))
     print(evaluate.render_table(report), end="")
     return EXIT_OK

@@ -1,6 +1,7 @@
 """Detection data model, JSON (de)serialization and detector postprocessing."""
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
@@ -25,13 +26,9 @@ class BoundingBox:
     def __post_init__(self):
         for name in ("x0", "y0", "x1", "y1"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        coords = (self.x0, self.y0, self.x1, self.y1)
-        if not all(c == c and abs(c) != float("inf") for c in coords):
-            raise DataError(f"non-finite bbox {coords}")
-        if min(coords) < 0:
-            raise DataError(f"negative bbox coordinate in {coords}")
-        if self.x0 >= self.x1 or self.y0 >= self.y1:
-            raise DataError(f"inverted or empty bbox {coords}")
+        # finite, non-negative and non-empty; no NaN passes a comparison
+        if not (0.0 <= self.x0 < self.x1 < math.inf and 0.0 <= self.y0 < self.y1 < math.inf):
+            raise DataError(f"non-finite, negative, inverted or empty bbox {_bbox_list(self)}")
 
     @property
     def area(self) -> float:
@@ -89,6 +86,29 @@ def _bbox_coords(raw) -> tuple[float, float, float, float]:
     return float(x0), float(y0), float(x1), float(y1)
 
 
+def _floats(values: list) -> np.ndarray:
+    """A float64 column of decoded JSON values, each converted exactly as ``float`` does."""
+    return np.fromiter(map(float, values), np.float64, len(values))
+
+
+def _check_column(ok: np.ndarray, values, message: str) -> None:
+    """Raise DataError naming the first of `values` whose row of `ok` holds a False."""
+    if not ok.all():
+        raise DataError(message.format(values[np.unravel_index(ok.argmin(), ok.shape)[0]]))
+
+
+def _bbox_array(raws: list) -> np.ndarray:
+    """Decode `[x0, y0, x1, y1]` lists into an (n, 4) float64 array; the BoundingBox rule holds."""
+    bad = [raw for raw in raws if not (isinstance(raw, list) and len(raw) == 4)]
+    if bad:
+        raise DataError(f"bbox must be a 4-element list, got {bad[0]!r}")
+    boxes = _floats([c for raw in raws for c in raw]).reshape(-1, 4)
+    near, far = boxes[:, :2], boxes[:, 2:]
+    ok = (near >= 0.0) & (near < far) & (far < math.inf)
+    _check_column(ok, raws, "non-finite, negative, inverted or empty bbox {!r}")
+    return boxes
+
+
 def _clamp_bbox(raw, width: int, height: int) -> BoundingBox:
     x0, y0, x1, y1 = _bbox_coords(raw)
     if x0 >= x1 or y0 >= y1:
@@ -138,10 +158,11 @@ def serialize_detections(ds: DetectionSet) -> bytes:
     })
 
 
-def _box_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
-    """The (n, 4) float64 array of x0, y0, x1, y1 rows that `iou` takes."""
+def _box_array(boxes: Iterable[BoundingBox | None]) -> np.ndarray:
+    """The (n, 4) float64 array of x0, y0, x1, y1 rows that `iou` takes; None gives a NaN row."""
     return np.array(
-        [(b.x0, b.y0, b.x1, b.y1) for b in boxes], dtype=np.float64
+        [(math.nan,) * 4 if b is None else (b.x0, b.y0, b.x1, b.y1) for b in boxes],
+        dtype=np.float64,
     ).reshape(-1, 4)
 
 

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import _decode, _dump
-from .detect import BoundingBox, _bbox_coords, _bbox_list, _box_array, iou
+from .detect import BoundingBox, _bbox_array, _bbox_list, _box_array, _check_column, _floats, iou
 from .errors import DataError, DetectionFormatError
-from .roi import ObjectDistance
+from .roi import Columns, ObjectDistance, decode_distances
 
 MATCH_IOU_THRESHOLD = 0.5
 DEFAULT_ACCURACY_THRESHOLD_M = 0.2
@@ -60,6 +60,17 @@ def predicted_distance(od: ObjectDistance) -> float:
 def match_objects(
     preds: list[ObjectDistance], gts: list[GroundTruthObject]
 ) -> tuple[list[MatchedPair], int, int]:
+    """`match_columns` on prediction and ground-truth records."""
+    p_boxes = _box_array(od.detection.bbox for od in preds)
+    p_dist = np.array([predicted_distance(od) for od in preds])
+    g_dist = np.array([gt.abs_distance for gt in gts])
+    return match_columns(
+        Columns([od.detection.class_name for od in preds], p_boxes, p_dist),
+        Columns([gt.class_name for gt in gts], _box_array(gt.bbox for gt in gts), g_dist),
+    )
+
+
+def match_columns(p: Columns, g: Columns) -> tuple[list[MatchedPair], int, int]:
     """Pair predictions with ground truth per class.
 
     With GT boxes: greedy max-IoU matching, pairs above 0.5 IoU taken in
@@ -68,58 +79,39 @@ def match_objects(
     right). Returns (pairs, unmatched predictions, unmatched truths);
     classes never cross and no pair is fabricated.
     """
-    p_of: dict[str, list[int]] = {}
-    for i, od in enumerate(preds):
-        p_of.setdefault(od.detection.class_name, []).append(i)
-    g_of: dict[str, list[int]] = {}
-    for j, gt in enumerate(gts):
-        g_of.setdefault(gt.class_name, []).append(j)
-
+    shared = set(p.class_names) & set(g.class_names)
+    no_box = np.isnan(g.boxes[:, 0]).tolist()
+    boxless = shared.intersection(c for c, nb in zip(g.class_names, no_box) if nb)
     matched: dict[str, list[tuple[int, int]]] = {}
-    # indices of the classes matched by IoU, with a class code per index
-    boxed_p: list[int] = []
-    boxed_g: list[int] = []
-    p_cls: list[int] = []
-    g_cls: list[int] = []
-    for code, cls in enumerate(sorted(p_of.keys() & g_of.keys())):
-        p_idx, g_idx = p_of[cls], g_of[cls]
-        if all(gts[j].bbox is not None for j in g_idx):
-            boxed_p += p_idx
-            boxed_g += g_idx
-            p_cls += [code] * len(p_idx)
-            g_cls += [code] * len(g_idx)
-        else:
-            p_sorted = sorted(p_idx, key=lambda i: preds[i].detection.bbox.center_x)
-            matched[cls] = list(zip(p_sorted, g_idx))
+    if boxless:
+        center_x = (0.5 * (p.boxes[:, 0] + p.boxes[:, 2])).tolist()
+        for cls in boxless:
+            p_idx = [i for i, c in enumerate(p.class_names) if c == cls]
+            g_idx = [j for j, c in enumerate(g.class_names) if c == cls]
+            matched[cls] = list(zip(sorted(p_idx, key=center_x.__getitem__), g_idx))
 
-    if boxed_p:
-        overlap = iou(
-            _box_array(preds[i].detection.bbox for i in boxed_p),
-            _box_array(gts[j].bbox for j in boxed_g),
-        )
-        rows, cols = np.nonzero(
-            (overlap > MATCH_IOU_THRESHOLD) & (np.array(p_cls)[:, None] == np.array(g_cls))
-        )
-        # nonzero lists candidates by pred then GT position (index order within a
-        # class), so a stable sort on descending IoU gives the greedy order;
-        # classes share no index, so their candidates may interleave
+    # codes of the classes matched by IoU; -1 and -2 (a class one side lacks,
+    # or boxless) never match, so boxless GT rows' NaN IoU is masked out
+    code = {cls: k for k, cls in enumerate(shared - boxless)}
+    if code:
+        overlap = iou(p.boxes, g.boxes)
+        p_cls = np.array([code.get(c, -1) for c in p.class_names])
+        g_cls = np.array([code.get(c, -2) for c in g.class_names])
+        rows, cols = np.nonzero((overlap > MATCH_IOU_THRESHOLD) & (p_cls[:, None] == g_cls))
+        # nonzero lists candidates by pred then GT index, so a stable sort on
+        # descending IoU gives the greedy order; classes share no index, so
+        # their candidates may interleave
         order = np.argsort(-overlap[rows, cols], kind="stable")
-        used_preds: set[int] = set()
-        used_gts: set[int] = set()
-        for r, c in zip(rows[order].tolist(), cols[order].tolist()):
-            i, j = boxed_p[r], boxed_g[c]
-            if i in used_preds or j in used_gts:
-                continue
-            used_preds.add(i)
-            used_gts.add(j)
-            matched.setdefault(preds[i].detection.class_name, []).append((i, j))
+        used_preds, used_gts = set(), set()
+        for i, j in zip(rows[order].tolist(), cols[order].tolist()):
+            if i not in used_preds and j not in used_gts:
+                used_preds.add(i)
+                used_gts.add(j)
+                matched.setdefault(p.class_names[i], []).append((i, j))
 
-    pairs = [
-        MatchedPair(cls, predicted_distance(preds[i]), gts[j].abs_distance)
-        for cls in sorted(matched)
-        for i, j in matched[cls]
-    ]
-    return pairs, len(preds) - len(pairs), len(gts) - len(pairs)
+    p_dist, g_dist = p.distances.tolist(), g.distances.tolist()
+    pairs = [MatchedPair(c, p_dist[i], g_dist[j]) for c in sorted(matched) for i, j in matched[c]]
+    return pairs, len(p_dist) - len(pairs), len(g_dist) - len(pairs)
 
 
 def rmse(pairs: list[MatchedPair]) -> float:
@@ -128,12 +120,17 @@ def rmse(pairs: list[MatchedPair]) -> float:
     return math.sqrt(sum(p.error**2 for p in pairs) / len(pairs))
 
 
+def _check_threshold(t: float) -> None:
+    """Reject an accuracy threshold that is not a positive finite distance."""
+    if not (t > 0 and math.isfinite(t)):
+        raise DataError(f"threshold must be a positive finite distance, got {t}")
+
+
 def threshold_accuracy(pairs: list[MatchedPair], t: float) -> float:
     """Fraction of pairs with error strictly below t."""
     if not pairs:
         raise DataError("accuracy of an empty pair list is undefined")
-    if t <= 0:
-        raise DataError(f"threshold must be positive, got {t}")
+    _check_threshold(t)
     return sum(1 for p in pairs if p.error < t) / len(pairs)
 
 
@@ -153,23 +150,59 @@ def build_report(
     )
 
 
-def parse_ground_truth(data: bytes | str) -> tuple[str, list[GroundTruthObject]]:
-    """Parse the `.gt.json` format; bbox is optional per object."""
+def evaluate_files(
+    pred_files: list[bytes], gt_files: list[bytes], t: float = DEFAULT_ACCURACY_THRESHOLD_M
+) -> MetricsReport:
+    """Score `.dist.json` against `.gt.json` documents, one image at a time.
+
+    Images go in id order; the documents of one image are concatenated in list order.
+    """
+    images: dict[str, tuple[list[Columns], list[Columns]]] = {}
+    decoders = ((pred_files, decode_distances), (gt_files, decode_ground_truth))
+    for side, (files, decode) in enumerate(decoders):
+        for data in files:
+            image, columns = decode(data)
+            images.setdefault(image, ([], []))[side].append(columns)
+    pairs, unmatched_preds, unmatched_gts = [], 0, 0
+    for image in sorted(images):
+        got, up, ug = match_columns(*map(_concat, images[image]))
+        pairs += got
+        unmatched_preds += up
+        unmatched_gts += ug
+    if not pairs:
+        raise DataError("no matched prediction/ground-truth pairs")
+    return build_report(pairs, unmatched_preds, unmatched_gts, t)
+
+
+def _concat(parts: list[Columns]) -> Columns:
+    if len(parts) == 1:
+        return parts[0]
+    # the empty tail makes an image that one side lacks match nothing
+    names, boxes, distances, *_ = zip(*parts, Columns([], np.empty((0, 4)), np.empty(0)))
+    return Columns([c for n in names for c in n], np.concatenate(boxes), np.concatenate(distances))
+
+
+def decode_ground_truth(data: bytes | str) -> tuple[str, Columns]:
+    """Decode `.gt.json` into columns; bbox is optional per object."""
     with _decode(data, DetectionFormatError, "ground-truth") as doc:
-        image = str(doc["image"])
-        objects = []
-        for o in doc["objects"]:
-            if not isinstance(o, dict):
-                raise DataError(f"ground-truth object must be a JSON object, got {o!r}")
-            bbox = o.get("bbox")
-            objects.append(
-                GroundTruthObject(
-                    class_name=str(o["class_name"]),
-                    abs_distance=o["abs_m"],
-                    bbox=None if bbox is None else BoundingBox(*_bbox_coords(bbox)),
-                )
-            )
-        return image, objects
+        image, objects = str(doc["image"]), doc["objects"]
+        names = [str(o["class_name"]) for o in objects]
+        distances = _floats([o["abs_m"] for o in objects])
+        ok = (distances > 0.0) & (distances < math.inf)
+        _check_column(ok, distances, "ground-truth distance must be positive, got {}")
+        raw = [o.get("bbox") for o in objects]
+        boxes = np.full((len(raw), 4), math.nan)
+        boxes[[b is not None for b in raw]] = _bbox_array([b for b in raw if b is not None])
+        return image, Columns(names, boxes, distances)
+
+
+def parse_ground_truth(data: bytes | str) -> tuple[str, list[GroundTruthObject]]:
+    """Parse the `.gt.json` format into records; bbox is optional per object."""
+    image, g = decode_ground_truth(data)
+    return image, [
+        GroundTruthObject(name, dist, None if math.isnan(box[0]) else BoundingBox(*box))
+        for name, box, dist in zip(g.class_names, g.boxes.tolist(), g.distances.tolist())
+    ]
 
 
 def serialize_ground_truth(image_id: str, gts: list[GroundTruthObject]) -> bytes:

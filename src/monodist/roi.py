@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .codec import _decode, _dump
-from .detect import BoundingBox, Detection, DetectionSet, _bbox_coords, _bbox_list
+from .detect import (
+    BoundingBox, Detection, DetectionSet, _bbox_array, _bbox_list, _check_column, _floats
+)
 from .errors import DataError, DegenerateRoiError, DetectionFormatError
 from .maps import DepthRange, MapKind, ScalarMap, disparity_to_depth_value
 
@@ -179,23 +182,51 @@ def serialize_distances(
     return _dump(doc)
 
 
+class Columns(NamedTuple):
+    """The objects of one `.dist.json` or `.gt.json`, one column per field.
+
+    `distances` are the ones evaluation scores: a prediction's calibrated ABS
+    when present, else its REV, or the ground-truth ABS. The columns with a
+    default are read from `.dist.json` only.
+    """
+
+    class_names: list[str]
+    boxes: np.ndarray  # (n, 4) float64 rows of x0, y0, x1, y1; NaN where GT has no box
+    distances: np.ndarray
+    confidence: np.ndarray | None = None
+    rev: np.ndarray | None = None
+    calibrated: np.ndarray | None = None  # True where ABS is present
+
+
+def decode_distances(data: bytes | str) -> tuple[str, Columns]:
+    """Decode `.dist.json` into columns; each field is validated as a whole column."""
+    with _decode(data, DetectionFormatError, "distances") as doc:
+        image, objects = str(doc["image"]), doc["objects"]
+        names = [str(o["class_name"]) for o in objects]
+        if "" in names:
+            raise DataError("empty class_name")
+        conf = _floats([o["confidence"] for o in objects])
+        _check_column((conf >= 0.0) & (conf <= 1.0), conf, "confidence {} outside [0, 1]")
+        boxes = _bbox_array([o["bbox"] for o in objects])
+        rev = _floats([o["rev_m"] for o in objects])
+        ok = (rev > 0.0) & (rev < math.inf)
+        _check_column(ok, rev, "rev must be a positive finite distance, got {}")
+        abs_m = [o["abs_m"] for o in objects]
+        calibrated = np.array([a is not None for a in abs_m], dtype=bool)
+        abs_ = _floats([a if a is not None else 0.0 for a in abs_m])
+        _check_column(np.isfinite(abs_), abs_, "abs must be finite, got {}")
+        return image, Columns(names, boxes, np.where(calibrated, abs_, rev), conf, rev, calibrated)
+
+
 def parse_distances(data: bytes | str) -> tuple[str, list[ObjectDistance]]:
     """Parse `.dist.json` back into ObjectDistance records.
 
     The file does not carry class ids, so reconstructed detections use
     class_id 0; evaluation matches on class_name only.
     """
-    with _decode(data, DetectionFormatError, "distances") as doc:
-        return str(doc["image"]), [
-            ObjectDistance(
-                detection=Detection(
-                    class_id=0,
-                    class_name=str(o["class_name"]),
-                    confidence=o["confidence"],
-                    bbox=BoundingBox(*_bbox_coords(o["bbox"])),
-                ),
-                rev=o["rev_m"],
-                abs=o["abs_m"],
-            )
-            for o in doc["objects"]
-        ]
+    image, d = decode_distances(data)
+    columns = (d.confidence, d.boxes, d.rev, d.distances, d.calibrated)
+    return image, [
+        ObjectDistance(Detection(0, name, conf, BoundingBox(*box)), rev, dist if cal else None)
+        for name, conf, box, rev, dist, cal in zip(d.class_names, *(c.tolist() for c in columns))
+    ]

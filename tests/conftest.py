@@ -6,7 +6,11 @@ import pytest
 from hypothesis import settings
 
 import monodist
-from monodist.evaluate import MatchedPair
+from monodist.codec import _decode
+from monodist.detect import BoundingBox, Detection, _bbox_coords
+from monodist.errors import DataError, DetectionFormatError
+from monodist.evaluate import GroundTruthObject, MatchedPair
+from monodist.roi import ObjectDistance
 
 # numpy/BLAS warmup makes first-example timings meaningless
 settings.register_profile("default", deadline=None)
@@ -41,6 +45,56 @@ def reference_iou(a, b):
         return 0.0
     inter = ix * iy
     return inter / (a.area + b.area - inter)
+
+
+def reference_bbox(raw):
+    """The per-box decode and checks of a `[x0, y0, x1, y1]` list, one rule at a time."""
+    coords = _bbox_coords(raw)
+    if not all(c == c and abs(c) != float("inf") for c in coords):
+        raise DataError(f"non-finite bbox {coords}")
+    if min(coords) < 0:
+        raise DataError(f"negative bbox coordinate in {coords}")
+    x0, y0, x1, y1 = coords
+    if x0 >= x1 or y0 >= y1:
+        raise DataError(f"inverted or empty bbox {coords}")
+    return BoundingBox(*coords)
+
+
+def reference_parse_distances(data):
+    """The record-by-record `.dist.json` parser, the reference for `roi.decode_distances`."""
+    with _decode(data, DetectionFormatError, "distances") as doc:
+        return str(doc["image"]), [
+            ObjectDistance(
+                detection=Detection(
+                    class_id=0,
+                    class_name=str(o["class_name"]),
+                    confidence=o["confidence"],
+                    bbox=reference_bbox(o["bbox"]),
+                ),
+                rev=o["rev_m"],
+                abs=o["abs_m"],
+            )
+            for o in doc["objects"]
+        ]
+
+
+def reference_parse_ground_truth(data):
+    """The record-by-record `.gt.json` parser, the reference for `evaluate.decode_ground_truth`."""
+    with _decode(data, DetectionFormatError, "ground-truth") as doc:
+        image = str(doc["image"])
+        objects = []
+        for o in doc["objects"]:
+            if not isinstance(o, dict):
+                raise DataError(f"ground-truth object must be a JSON object, got {o!r}")
+            bbox = o.get("bbox")
+            objects.append(
+                GroundTruthObject(
+                    class_name=str(o["class_name"]),
+                    abs_distance=o["abs_m"],
+                    bbox=None if bbox is None else reference_bbox(bbox),
+                )
+            )
+        return image, objects
 
 
 REFERENCE_ERRORS = [0.69, 0.15, 0.57, 0.05, 0.09, 0.27, 0.13, 0.31, 0.12]

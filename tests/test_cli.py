@@ -10,8 +10,9 @@ from conftest import checkout_env
 from monodist import cli
 from monodist.calib import REFERENCE_COEFFS, CalibrationModel, serialize_model
 from monodist.detect import BoundingBox, Detection, DetectionSet, serialize_detections
+from monodist.errors import DataError
 from monodist.maps import MapKind, ScalarMap, write_pfm
-from monodist.roi import parse_distances
+from monodist.roi import ObjectDistance, parse_distances, serialize_distances
 from monodist.synth import SceneObject, SceneSpec, serialize_scene
 
 
@@ -238,6 +239,30 @@ class TestEvaluate:
         p.write_text(json.dumps({"image": "a", "objects": []}))
         g.write_text(json.dumps({"image": "a", "objects": []}))
         assert run(f"evaluate --pred {p} --gt {g} --out {tmp_path}/r.json") == 2
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_threshold_not_positive_finite_exit_2(self, tmp_path, capsys, threshold):
+        od = ObjectDistance(Detection(0, "car", 0.9, BoundingBox(0, 0, 10, 10)), rev=5.0)
+        p = tmp_path / "p.dist.json"
+        g = tmp_path / "g.gt.json"
+        p.write_bytes(serialize_distances("a", [od]))
+        g.write_text(json.dumps({"image": "a", "objects": [{"class_name": "car", "abs_m": 5.1}]}))
+        out = tmp_path / "r.json"
+        argv = ["evaluate", "--pred", str(p), "--gt", str(g), "--threshold", threshold]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("monodist evaluate: threshold") and "Traceback" not in err
+
+    @pytest.mark.parametrize("threshold", ["NaN", "Infinity", "-1"])
+    def test_config_threshold_not_positive_finite_rejected(self, tmp_path, threshold):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            '{"backend": {"mode": "process", "depth_command": "a", "det_command": "b"}, '
+            f'"eval_threshold_m": {threshold}}}'
+        )
+        with pytest.raises(DataError, match="threshold"):
+            cli.load_config(cfg)
 
     def test_synth_predict_evaluate_closure(self, tmp_path):
         objects = (

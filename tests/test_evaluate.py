@@ -121,6 +121,11 @@ class TestMetrics:
         with pytest.raises(DataError):
             threshold_accuracy([], 0.2)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_threshold_not_positive_finite_rejected(self, t):
+        with pytest.raises(DataError, match="threshold"):
+            threshold_accuracy([MatchedPair("car", 5.3, 5.0)], t)
+
     errors = st.lists(st.floats(0, 10), min_size=1, max_size=20)
 
     @given(errors)
