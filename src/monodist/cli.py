@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import os
 import subprocess
 import sys
 from dataclasses import dataclass, field
 from html import escape
 from pathlib import Path
+
+import numpy as np
 
 from . import calib, detect, evaluate, maps, roi, synth
 from .codec import _decode
@@ -138,28 +141,26 @@ def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
 
 def predict_image(
     cfg: PipelineConfig, image_id: str
-) -> tuple[list[roi.ObjectDistance], list[roi.RoiFailure]]:
+) -> tuple[detect.Columns, list[roi.RoiFailure]]:
     """Run the full fusion pipeline for one image.
 
     confidence filter -> NMS -> median pooling per box (in disparity space
     for a disparity map; only each box's median is converted to depth) ->
-    calibration when a model is configured.
+    calibration when a model is configured. Detections are fetched and
+    pruned before the depth map is read, so the map is never held alongside
+    the NMS work.
     """
+    dets = detect.parse_detections(cfg.backend.fetch_detection_bytes(image_id))
+    dets = detect.nms(detect.filter_confidence(dets, cfg.min_conf), cfg.iou_threshold)
     depth_map = maps.read_pfm(
         cfg.backend.fetch_depth_bytes(image_id), kind=cfg.backend.depth_kind
     )
-    dets = detect.parse_detections(cfg.backend.fetch_detection_bytes(image_id))
-    dets = detect.nms(detect.filter_confidence(dets, cfg.min_conf), cfg.iou_threshold)
-    objects, failures = roi.measure_objects(depth_map, dets, cfg.depth_range)
+    objects, failures = roi.measure_columns(depth_map, dets, cfg.depth_range)
     if cfg.calibration_model is not None:
-        objects = [
-            roi.ObjectDistance(
-                detection=od.detection,
-                rev=od.rev,
-                abs=calib.apply(cfg.calibration_model, od.rev),
-            )
-            for od in objects
-        ]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below instead
+            abs_m = calib.apply(cfg.calibration_model, objects.rev)
+        detect._check_column(np.isfinite(abs_m), abs_m, "abs must be finite, got {}")
+        objects = objects._replace(distances=abs_m, calibrated=np.ones_like(objects.calibrated))
     return objects, failures
 
 
@@ -216,16 +217,16 @@ def _cmd_predict(args) -> int:
     }
     cfg = load_config(Path(config_path), overrides)
     objects, failures = predict_image(cfg, args.image_id)
-    for od in objects:
-        if od.abs is not None and od.abs < 0:
-            print(
-                f"warning: negative calibrated distance {od.abs:.3f} m for "
-                f"{od.detection.class_name} (rev {od.rev:.3f} m)",
-                file=sys.stderr,
-            )
+    negative = objects.calibrated & (objects.distances < 0)
+    for i in np.flatnonzero(negative).tolist():
+        print(
+            f"warning: negative calibrated distance {objects.distances[i]:.3f} m for "
+            f"{objects.class_names[i]} (rev {objects.rev[i]:.3f} m)",
+            file=sys.stderr,
+        )
     for f in failures:
         print(f"warning: skipped {f.detection.class_name}: {f.reason}", file=sys.stderr)
-    Path(args.out).write_bytes(roi.serialize_distances(args.image_id, objects, failures))
+    Path(args.out).write_bytes(roi.encode_distances(args.image_id, objects, failures))
     return EXIT_OK
 
 
@@ -271,7 +272,9 @@ def _cmd_annotate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="monodist",
         description="Fuse monocular depth maps with object detections into per-object distances.",

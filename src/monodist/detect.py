@@ -1,9 +1,11 @@
 """Detection data model, JSON (de)serialization and detector postprocessing."""
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,19 +60,95 @@ class Detection:
 
 @dataclass(frozen=True)
 class DetectionSet:
-    """All detections for one image, in detector output order."""
+    """All detections for one image, in detector output order; records, or those of columns."""
 
     image_id: str
     image_width: int
     image_height: int
-    detections: tuple[Detection, ...]
+    detections: Sequence[Detection]
 
     def __post_init__(self):
         if self.image_width <= 0 or self.image_height <= 0:
             raise DataError(
                 f"image dimensions must be positive, got {self.image_width}x{self.image_height}"
             )
-        object.__setattr__(self, "detections", tuple(self.detections))
+        if not isinstance(self.detections, _Rows):
+            object.__setattr__(self, "detections", tuple(self.detections))
+
+    @property
+    def columns(self) -> Columns:
+        d = self.detections
+        return d.columns if isinstance(d, _Rows) else _columns(d)
+
+    def take(self, rows: np.ndarray) -> DetectionSet:
+        """The detections at the integer `rows`, in that order."""
+        return replace(self, detections=_Rows(self.columns.take(rows)))
+
+
+class Columns(NamedTuple):
+    """The objects of one record file or pipeline stage, one column per field, in order.
+
+    `.det.json` gives class ids, names, confidences and boxes. `.dist.json`
+    and `.gt.json` give names, boxes and the `distances` that evaluation
+    scores: a prediction's calibrated ABS when present, else its REV, or the
+    ground-truth ABS. Columns that a source lacks are None.
+    """
+
+    class_names: list[str]
+    boxes: np.ndarray  # (n, 4) float64 rows of x0, y0, x1, y1; NaN where GT has no box
+    distances: np.ndarray | None = None
+    confidence: np.ndarray | None = None
+    rev: np.ndarray | None = None
+    calibrated: np.ndarray | None = None  # True where ABS is present
+    class_ids: list[int] | None = None  # Python ints, so ids beyond int64 still decode
+
+    def take(self, rows: np.ndarray) -> Columns:
+        """The objects at the integer `rows`, in that order."""
+        at = rows.tolist()
+        return Columns(*(
+            c if c is None else [c[i] for i in at] if isinstance(c, list) else c[rows] for c in self
+        ))
+
+
+class _Rows(Sequence):
+    """The Detection records of `.det.json` columns, built when first read."""
+
+    def __init__(self, columns: Columns):
+        self.columns = columns
+
+    @functools.cached_property
+    def records(self) -> tuple[Detection, ...]:
+        return _records(self.columns)
+
+    def __len__(self) -> int:
+        return len(self.columns.class_names)
+
+    def __getitem__(self, i):
+        return self.records[i]
+
+    def __eq__(self, other) -> bool:
+        return self.records == (other.records if isinstance(other, _Rows) else other)
+
+    def __hash__(self) -> int:
+        return hash(self.records)
+
+    def __repr__(self) -> str:
+        return repr(self.records)
+
+
+def _columns(detections: Sequence[Detection]) -> Columns:
+    """The columns of detection records."""
+    return Columns(
+        [d.class_name for d in detections], _box_array(d.bbox for d in detections),
+        confidence=np.array([d.confidence for d in detections], dtype=np.float64),
+        class_ids=[d.class_id for d in detections],
+    )
+
+
+def _records(c: Columns) -> tuple[Detection, ...]:
+    """The Detection records of columns that carry class ids and confidences."""
+    rows = zip(c.class_ids, c.class_names, c.confidence.tolist(), c.boxes.tolist())
+    return tuple(Detection(i, name, conf, BoundingBox(*box)) for i, name, conf, box in rows)
 
 
 def _bbox_list(box: BoundingBox) -> list[float]:
@@ -80,10 +158,7 @@ def _bbox_list(box: BoundingBox) -> list[float]:
 
 def _bbox_coords(raw) -> tuple[float, float, float, float]:
     """Decode a `[x0, y0, x1, y1]` list into four floats; the caller builds the box."""
-    if not (isinstance(raw, list) and len(raw) == 4):
-        raise DataError(f"bbox must be a 4-element list, got {raw!r}")
-    x0, y0, x1, y1 = raw
-    return float(x0), float(y0), float(x1), float(y1)
+    return tuple(_coord_array([raw]).tolist()[0])
 
 
 def _floats(values: list) -> np.ndarray:
@@ -97,47 +172,53 @@ def _check_column(ok: np.ndarray, values, message: str) -> None:
         raise DataError(message.format(values[np.unravel_index(ok.argmin(), ok.shape)[0]]))
 
 
-def _bbox_array(raws: list) -> np.ndarray:
-    """Decode `[x0, y0, x1, y1]` lists into an (n, 4) float64 array; the BoundingBox rule holds."""
+def _names_and_confidence(objects: list) -> tuple[list[str], np.ndarray]:
+    """The class names, none empty, and the confidences in [0, 1] of decoded objects."""
+    names = [str(o["class_name"]) for o in objects]
+    if "" in names:
+        raise DataError("empty class_name")
+    conf = _floats([o["confidence"] for o in objects])
+    _check_column((conf >= 0.0) & (conf <= 1.0), conf, "confidence {} outside [0, 1]")
+    return names, conf
+
+
+def _coord_array(raws: list) -> np.ndarray:
+    """Decode `[x0, y0, x1, y1]` lists into an (n, 4) float64 array of the values as given."""
     bad = [raw for raw in raws if not (isinstance(raw, list) and len(raw) == 4)]
     if bad:
         raise DataError(f"bbox must be a 4-element list, got {bad[0]!r}")
-    boxes = _floats([c for raw in raws for c in raw]).reshape(-1, 4)
+    return _floats([c for raw in raws for c in raw]).reshape(-1, 4)
+
+
+def _bbox_array(raws: list) -> np.ndarray:
+    """Decode `[x0, y0, x1, y1]` lists into an (n, 4) float64 array; the BoundingBox rule holds."""
+    boxes = _coord_array(raws)
     near, far = boxes[:, :2], boxes[:, 2:]
     ok = (near >= 0.0) & (near < far) & (far < math.inf)
     _check_column(ok, raws, "non-finite, negative, inverted or empty bbox {!r}")
     return boxes
 
 
-def _clamp_bbox(raw, width: int, height: int) -> BoundingBox:
-    x0, y0, x1, y1 = _bbox_coords(raw)
-    if x0 >= x1 or y0 >= y1:
-        raise DataError(f"inverted bbox {raw}")
-    x0 = min(max(x0, 0.0), float(width))
-    x1 = min(max(x1, 0.0), float(width))
-    y0 = min(max(y0, 0.0), float(height))
-    y1 = min(max(y1, 0.0), float(height))
-    if x0 >= x1 or y0 >= y1:
-        raise DataError(f"bbox {raw} is empty after clamping to image bounds")
-    return BoundingBox(x0, y0, x1, y1)
-
-
 def parse_detections(data: bytes | str) -> DetectionSet:
-    """Parse the `.det.json` format. Boxes are clamped to image bounds."""
+    """Parse the `.det.json` format, checking each column as a whole. Boxes are clamped."""
     with _decode(data, DetectionFormatError, "detection") as doc:
-        image = str(doc["image"])
-        width = int(doc["width"])
-        height = int(doc["height"])
-        dets = [
-            Detection(
-                class_id=int(d["class_id"]),
-                class_name=str(d["class_name"]),
-                confidence=d["confidence"],
-                bbox=_clamp_bbox(d["bbox"], width, height),
-            )
-            for d in doc["detections"]
-        ]
-        return DetectionSet(image, width, height, tuple(dets))
+        image, width, height = str(doc["image"]), int(doc["width"]), int(doc["height"])
+        dets = doc["detections"]
+        class_ids = [int(d["class_id"]) for d in dets]
+        if class_ids and min(class_ids) < 0:
+            raise DataError(f"negative class_id {min(class_ids)}")
+        names, conf = _names_and_confidence(dets)
+        raws = [d["bbox"] for d in dets]
+        boxes = _coord_array(raws)
+        _check_column(~(boxes[:, :2] >= boxes[:, 2:]), raws, "inverted bbox {}")
+        # an image without boxes never converts its size to float, which overflows past 1e308
+        limits = np.array([width, height] * 2 if raws else [0] * 4, dtype=np.float64)
+        # where, not maximum, so that -0.0 stays -0.0 as Python's max(-0.0, 0.0) leaves it
+        boxes = np.minimum(np.where(boxes < 0.0, 0.0, boxes), limits)
+        ok = boxes[:, :2] < boxes[:, 2:]
+        _check_column(ok, raws, "bbox {} is empty after clamping to image bounds")
+        columns = Columns(names, boxes, confidence=conf, class_ids=class_ids)
+        return DetectionSet(image, width, height, _Rows(columns))
 
 
 def serialize_detections(ds: DetectionSet) -> bytes:
@@ -193,8 +274,7 @@ def filter_confidence(ds: DetectionSet, min_conf: float) -> DetectionSet:
     """Keep detections with confidence >= min_conf, order preserved."""
     if not 0.0 <= min_conf <= 1.0:
         raise DataError(f"min_conf {min_conf} outside [0, 1]")
-    kept = tuple(d for d in ds.detections if d.confidence >= min_conf)
-    return replace(ds, detections=kept)
+    return ds.take(np.flatnonzero(ds.columns.confidence >= min_conf))
 
 
 def nms(ds: DetectionSet, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> DetectionSet:
@@ -205,21 +285,22 @@ def nms(ds: DetectionSet, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> Detec
     """
     if not 0.0 < iou_threshold < 1.0:
         raise DataError(f"iou_threshold {iou_threshold} outside (0, 1)")
-    order = sorted(
-        range(len(ds.detections)), key=lambda i: (-ds.detections[i].confidence, i)
-    )
-    ranked = [ds.detections[i] for i in order]
+    dets = ds.columns
+    order = np.argsort(-dets.confidence, kind="stable")
     by_class: dict[int, list[int]] = {}
-    for pos, d in enumerate(ranked):
-        by_class.setdefault(d.class_id, []).append(pos)
-    boxes = _box_array(d.bbox for d in ranked)
-    keep = np.ones(len(ranked), dtype=bool)
+    for pos, i in enumerate(order.tolist()):
+        by_class.setdefault(dets.class_ids[i], []).append(pos)
+    ranked = dets.boxes[order]
+    keep = np.ones(len(order), dtype=bool)
+    block = 64  # rows of IoU at a time, so that memory grows linearly with the boxes
     for members in by_class.values():
-        # the first alive box of a class is kept; it drops the later ones it overlaps
-        alive = np.array(members)
-        while alive.size > 1:
-            head, rest = alive[0], alive[1:]
-            overlap = iou(boxes[head : head + 1], boxes[rest])[0]
-            keep[rest[overlap > iou_threshold]] = False
-            alive = rest[overlap <= iou_threshold]
-    return replace(ds, detections=tuple(d for d, k in zip(ranked, keep.tolist()) if k))
+        boxes = ranked[members]
+        dropped = np.zeros(len(members), dtype=bool)
+        for start in range(0, len(members), block):
+            # row k: whether member start + k overlaps each member from start on
+            over = iou(boxes[start : start + block], boxes[start:]) > iou_threshold
+            for k in range(len(over)):
+                if not dropped[start + k]:
+                    dropped[start + k + 1 :] |= over[k, k + 1 :]
+        keep[members] = ~dropped
+    return ds.take(order[keep])

@@ -3,13 +3,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .codec import _decode, _dump
 from .detect import (
-    BoundingBox, Detection, DetectionSet, _bbox_array, _bbox_list, _check_column, _floats
+    BoundingBox, Columns, Detection, DetectionSet, _bbox_array, _bbox_list, _box_array,
+    _check_column, _columns, _floats, _names_and_confidence, _records,
 )
 from .errors import DataError, DegenerateRoiError, DetectionFormatError
 from .maps import DepthRange, MapKind, ScalarMap, disparity_to_depth_value
@@ -57,6 +57,9 @@ class RoiFailure:
     reason: str
 
 
+_EMPTY_RECT = "bbox {} projects to empty rect on a {}x{} grid"
+
+
 def project_bbox(
     bbox: BoundingBox,
     image_dims: tuple[int, int],
@@ -65,24 +68,25 @@ def project_bbox(
     """Map an image-space box to depth-grid indices.
 
     Coordinates are scaled by map_dim/image_dim, the near corner floored and
-    the far corner ceiled so the rect is never empty for a valid box, then
-    clamped to the grid.
+    the far corner ceiled so that a box thinner than a cell still covers one,
+    then clamped to the grid. A rect left empty raises DegenerateRoiError.
     """
+    col0, row0, col1, row1 = _project(_box_array([bbox]), image_dims, map_dims).tolist()[0]
+    if col0 >= col1 or row0 >= row1:
+        raise DegenerateRoiError(_EMPTY_RECT.format(bbox, *map_dims))
+    return IndexRect(col0=col0, row0=row0, col1=col1, row1=row1)
+
+
+def _project(boxes: np.ndarray, image_dims: tuple[int, int], map_dims: tuple[int, int]):
+    """`project_bbox` of each (n, 4) box row: int64 rows of col0, row0, col1, row1, maybe empty."""
     iw, ih = image_dims
     mw, mh = map_dims
     if iw <= 0 or ih <= 0 or mw <= 0 or mh <= 0:
         raise DataError("image and map dimensions must be positive")
-    sx = mw / iw
-    sy = mh / ih
-    col0 = max(0, math.floor(bbox.x0 * sx))
-    row0 = max(0, math.floor(bbox.y0 * sy))
-    col1 = min(mw, math.ceil(bbox.x1 * sx))
-    row1 = min(mh, math.ceil(bbox.y1 * sy))
-    if col0 >= col1 or row0 >= row1:
-        raise DegenerateRoiError(
-            f"bbox {bbox} projects to empty rect on a {mw}x{mh} grid"
-        )
-    return IndexRect(col0=col0, row0=row0, col1=col1, row1=row1)
+    scaled = boxes * np.array([mw / iw, mh / ih] * 2)
+    rects = np.hstack([np.floor(scaled[:, :2]), np.ceil(scaled[:, 2:])])
+    # a near corner clamped to the far edge still makes an empty rect
+    return np.clip(rects, 0.0, np.array([mw, mh] * 2, dtype=np.float64)).astype(np.int64)
 
 
 def median_depth(depth: ScalarMap, rect: IndexRect) -> float:
@@ -114,9 +118,9 @@ def _median_depth(values: np.ndarray, depth_range: DepthRange | None) -> float:
     return float(disparity_to_depth_value(middles, depth_range).mean())
 
 
-def measure_objects(
+def measure_columns(
     depth: ScalarMap, dets: DetectionSet, depth_range: DepthRange | None = None
-) -> tuple[list[ObjectDistance], list[RoiFailure]]:
+) -> tuple[Columns, list[RoiFailure]]:
     """Compute the relative distance (REV) of every detection.
 
     REV is the median depth inside the detection's box projected onto the
@@ -124,7 +128,8 @@ def measure_objects(
     space. A metric depth map pools only its positive pixels, because zero
     or negative depth marks a sensor hole. Degenerate projections and boxes
     with no valid pixel are recorded as failures, not raised, so a bad box
-    never aborts the whole image.
+    never aborts the whole image. The measured detections come back, in
+    order and uncalibrated, with their `rev` and `distances` set to REV.
     """
     holes = False
     if depth.kind is MapKind.DISPARITY:
@@ -133,43 +138,64 @@ def measure_objects(
     else:
         depth_range = None  # metric depth needs no conversion
         holes = float(depth.values.min()) <= 0.0
-    results: list[ObjectDistance] = []
-    failures: list[RoiFailure] = []
-    image_dims = (dets.image_width, dets.image_height)
     map_dims = (depth.width, depth.height)
-    for det in dets.detections:
-        try:
-            rect = project_bbox(det.bbox, image_dims, map_dims)
-        except DegenerateRoiError as e:
-            failures.append(RoiFailure(detection=det, reason=str(e)))
+    boxes = dets.columns.boxes
+    rev = np.full(len(boxes), math.nan)
+    failed: dict[int, str] = {}
+    rects = _project(boxes, (dets.image_width, dets.image_height), map_dims).tolist()
+    for i, (col0, row0, col1, row1) in enumerate(rects):
+        if col0 >= col1 or row0 >= row1:
+            failed[i] = _EMPTY_RECT.format(BoundingBox(*boxes[i].tolist()), *map_dims)
             continue
-        window = depth.values[rect.row0 : rect.row1, rect.col0 : rect.col1]
+        window = depth.values[row0:row1, col0:col1]
         if holes:
             window = window[window > 0]
             if window.size == 0:
-                failures.append(RoiFailure(detection=det, reason=f"no positive depth in {rect}"))
+                failed[i] = f"no positive depth in {IndexRect(col0, row0, col1, row1)}"
                 continue
-        results.append(ObjectDistance(detection=det, rev=_median_depth(window, depth_range)))
-    return results, failures
+        rev[i] = _median_depth(window, depth_range)
+    failing = dets.take(np.array(list(failed), dtype=np.intp)).detections
+    failures = [RoiFailure(d, reason) for d, reason in zip(failing, failed.values())]
+    measured = np.flatnonzero(~np.isnan(rev))
+    rev = rev[measured]
+    ok = (rev > 0.0) & (rev < math.inf)
+    _check_column(ok, rev, "rev must be a positive finite distance, got {}")
+    calibrated = np.zeros(len(rev), dtype=bool)
+    objects = dets.take(measured).columns
+    return objects._replace(distances=rev, rev=rev, calibrated=calibrated), failures
+
+
+def measure_objects(
+    depth: ScalarMap, dets: DetectionSet, depth_range: DepthRange | None = None
+) -> tuple[list[ObjectDistance], list[RoiFailure]]:
+    """`measure_columns` as records."""
+    objects, failures = measure_columns(depth, dets, depth_range)
+    return [ObjectDistance(d, r) for d, r in zip(_records(objects), objects.rev.tolist())], failures
 
 
 def serialize_distances(
     image_id: str, objects: list[ObjectDistance], failures: list[RoiFailure] | None = None
 ) -> bytes:
     """Canonical `.dist.json` form."""
-    doc = {
-        "image": image_id,
-        "objects": [
-            {
-                "class_name": od.detection.class_name,
-                "confidence": od.detection.confidence,
-                "bbox": _bbox_list(od.detection.bbox),
-                "rev_m": od.rev,
-                "abs_m": od.abs,
-            }
-            for od in objects
-        ],
-    }
+    rev = np.array([od.rev for od in objects], dtype=np.float64)
+    calibrated = np.array([od.abs is not None for od in objects], dtype=bool)
+    distances = np.array([od.rev if od.abs is None else od.abs for od in objects], np.float64)
+    columns = _columns([od.detection for od in objects])
+    columns = columns._replace(distances=distances, rev=rev, calibrated=calibrated)
+    return encode_distances(image_id, columns, failures)
+
+
+def encode_distances(
+    image_id: str, objects: Columns, failures: list[RoiFailure] | None = None
+) -> bytes:
+    """`serialize_distances` of measured columns, the inverse of `decode_distances`."""
+    o = objects
+    abs_m = [d if cal else None for d, cal in zip(o.distances.tolist(), o.calibrated.tolist())]
+    rows = zip(o.class_names, o.confidence.tolist(), o.boxes.tolist(), o.rev.tolist(), abs_m)
+    doc = {"image": image_id, "objects": [
+        {"class_name": name, "confidence": conf, "bbox": box, "rev_m": rev, "abs_m": abs_m}
+        for name, conf, box, rev, abs_m in rows
+    ]}
     if failures:
         doc["failures"] = [
             {
@@ -182,31 +208,11 @@ def serialize_distances(
     return _dump(doc)
 
 
-class Columns(NamedTuple):
-    """The objects of one `.dist.json` or `.gt.json`, one column per field.
-
-    `distances` are the ones evaluation scores: a prediction's calibrated ABS
-    when present, else its REV, or the ground-truth ABS. The columns with a
-    default are read from `.dist.json` only.
-    """
-
-    class_names: list[str]
-    boxes: np.ndarray  # (n, 4) float64 rows of x0, y0, x1, y1; NaN where GT has no box
-    distances: np.ndarray
-    confidence: np.ndarray | None = None
-    rev: np.ndarray | None = None
-    calibrated: np.ndarray | None = None  # True where ABS is present
-
-
 def decode_distances(data: bytes | str) -> tuple[str, Columns]:
     """Decode `.dist.json` into columns; each field is validated as a whole column."""
     with _decode(data, DetectionFormatError, "distances") as doc:
         image, objects = str(doc["image"]), doc["objects"]
-        names = [str(o["class_name"]) for o in objects]
-        if "" in names:
-            raise DataError("empty class_name")
-        conf = _floats([o["confidence"] for o in objects])
-        _check_column((conf >= 0.0) & (conf <= 1.0), conf, "confidence {} outside [0, 1]")
+        names, conf = _names_and_confidence(objects)
         boxes = _bbox_array([o["bbox"] for o in objects])
         rev = _floats([o["rev_m"] for o in objects])
         ok = (rev > 0.0) & (rev < math.inf)

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import settings
 
 import monodist
 from monodist.codec import _decode
-from monodist.detect import BoundingBox, Detection, _bbox_coords
+from monodist.detect import BoundingBox, Detection, DetectionSet, _bbox_coords
 from monodist.errors import DataError, DetectionFormatError
 from monodist.evaluate import GroundTruthObject, MatchedPair
 from monodist.roi import ObjectDistance
@@ -47,6 +48,24 @@ def reference_iou(a, b):
     return inter / (a.area + b.area - inter)
 
 
+def reference_nms(ds, iou_threshold):
+    """The pure-Python greedy NMS, kept as the reference for `nms`."""
+    order = sorted(
+        range(len(ds.detections)), key=lambda i: (-ds.detections[i].confidence, i)
+    )
+    kept = []
+    for i in order:
+        d = ds.detections[i]
+        suppressed = any(
+            ds.detections[k].class_id == d.class_id
+            and reference_iou(ds.detections[k].bbox, d.bbox) > iou_threshold
+            for k in kept
+        )
+        if not suppressed:
+            kept.append(i)
+    return replace(ds, detections=tuple(ds.detections[i] for i in kept))
+
+
 def reference_bbox(raw):
     """The per-box decode and checks of a `[x0, y0, x1, y1]` list, one rule at a time."""
     coords = _bbox_coords(raw)
@@ -58,6 +77,38 @@ def reference_bbox(raw):
     if x0 >= x1 or y0 >= y1:
         raise DataError(f"inverted or empty bbox {coords}")
     return BoundingBox(*coords)
+
+
+def reference_clamp_bbox(raw, width, height):
+    """The per-box decode and clamp of a `.det.json` bbox, one rule at a time."""
+    x0, y0, x1, y1 = _bbox_coords(raw)
+    if x0 >= x1 or y0 >= y1:
+        raise DataError(f"inverted bbox {raw}")
+    x0 = min(max(x0, 0.0), float(width))
+    x1 = min(max(x1, 0.0), float(width))
+    y0 = min(max(y0, 0.0), float(height))
+    y1 = min(max(y1, 0.0), float(height))
+    if x0 >= x1 or y0 >= y1:
+        raise DataError(f"bbox {raw} is empty after clamping to image bounds")
+    return BoundingBox(x0, y0, x1, y1)
+
+
+def reference_parse_detections(data):
+    """The record-by-record `.det.json` parser, the reference for `detect.parse_detections`."""
+    with _decode(data, DetectionFormatError, "detection") as doc:
+        image = str(doc["image"])
+        width = int(doc["width"])
+        height = int(doc["height"])
+        dets = [
+            Detection(
+                class_id=int(d["class_id"]),
+                class_name=str(d["class_name"]),
+                confidence=d["confidence"],
+                bbox=reference_clamp_bbox(d["bbox"], width, height),
+            )
+            for d in doc["detections"]
+        ]
+        return DetectionSet(image, width, height, tuple(dets))
 
 
 def reference_parse_distances(data):

@@ -78,6 +78,19 @@ class TestDispatch:
     def test_help_exits_zero(self):
         assert run("--help") == 0
 
+    def test_cached_parser_carries_no_state_between_calls(self, tmp_path):
+        data = synth_inputs(tmp_path)
+        cfg = files_config(tmp_path, data)
+        out = tmp_path / "img0.dist.json"
+        assert run("--help") == 0
+        assert run(f"predict --config {cfg} --image-id img0") == 1
+        assert run(f"predict --config {cfg} --image-id img0 --out {out} --min-conf 1.5") == 2
+        # neither the bad override nor the missing --out of the calls above persists
+        assert run(f"predict --config {cfg} --image-id img0 --out {out}") == 0
+        _, objects = parse_distances(out.read_bytes())
+        assert [od.detection.class_name for od in objects] == ["car"]
+        assert cli._build_parser() is cli._build_parser()
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert run(f"calibrate --samples {tmp_path}/no.csv --camera-height 1 --out {tmp_path}/o") == 2
 
@@ -131,6 +144,15 @@ class TestPredict:
         assert run(f"predict --config {cfg} --image-id img0 --out {out}") == 0
         _, objects = parse_distances(out.read_bytes())
         assert objects[0].abs == pytest.approx(16.701, abs=1e-3)
+
+    def test_calibration_overflow_is_data_error(self, tmp_path, capsys):
+        data = synth_inputs(tmp_path)
+        # finite coefficients, but c2 * rev**2 at rev 10 overflows float64
+        cfg = files_config(tmp_path, data, calibration=CalibrationModel(0, 0, 1e307, 1.0))
+        out = tmp_path / "img0.dist.json"
+        assert run(f"predict --config {cfg} --image-id img0 --out {out}") == 2
+        assert "abs must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_backend_file_exit_2(self, tmp_path):
         data = tmp_path / "data"
@@ -189,6 +211,20 @@ class TestPredict:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
         assert run(f"predict --config {cfg} --image-id x --out {tmp_path}/o.json") == 2
+
+    def test_detections_are_fetched_before_the_depth_map(self, tmp_path):
+        marker = tmp_path / "depth_was_fetched"
+        doc = {
+            "backend": {
+                "mode": "process",
+                "depth_command": f"touch {marker}",
+                "det_command": "false",
+            }
+        }
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(f"predict --config {cfg} --image-id x --out {tmp_path}/o.json") == 2
+        assert not marker.exists()
 
 
 class TestEvaluate:

@@ -1,22 +1,37 @@
-"""Columnar evaluation against the record-by-record parsers and under file splits.
+"""Columnar decoding, prediction and evaluation against the record-by-record code.
 
 The column decoders must accept and reject exactly the documents the
-record parsers in conftest do, and decode the same values; the evaluate
-report must not depend on how an image's objects are split across files
-or in which order the files are given.
+record parsers in conftest do, and decode the same values; `predict` must
+write the bytes that the record chain would; the evaluate report must not
+depend on how an image's objects are split across files or in which order
+the files are given.
 """
 import copy
 import json
 import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
-from conftest import reference_bbox, reference_parse_distances, reference_parse_ground_truth
+import numpy as np
+import pytest
+from conftest import (
+    reference_bbox,
+    reference_nms,
+    reference_parse_detections,
+    reference_parse_distances,
+    reference_parse_ground_truth,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monodist import evaluate, roi
-from monodist.detect import BoundingBox, _bbox_array, _bbox_list
+from monodist import calib, cli, evaluate, roi
+from monodist.detect import BoundingBox, _bbox_array, _bbox_list, parse_detections
 from monodist.errors import DataError, DetectionFormatError
-from monodist.maps import DepthRange
+from monodist.maps import (
+    DepthRange, MapKind, ScalarMap, disparity_to_depth, disparity_to_depth_value, read_pfm,
+    write_pfm,
+)
 from monodist.synth import SceneObject, SceneSpec, render_scene
 
 CLASSES = ["car", "person", "bus"]
@@ -54,20 +69,21 @@ def mutate(doc, data, fields):
 
     The kind of field is drawn first, so that each kind is hit as often.
     """
-    objects = range(len(doc["objects"]))
-    kinds = ["image", "objects"] + (["object", "coordinate", *fields] if objects else [])
+    items = "detections" if "detections" in doc else "objects"
+    objects = range(len(doc[items]))
+    kinds = [*doc] + (["object", "coordinate", *fields] if objects else [])
     kind = data.draw(st.sampled_from(kinds))
-    if kind in ("image", "objects"):
+    if kind in doc:
         path = (kind,)
     else:
         i = data.draw(st.sampled_from(objects))
         if kind == "object":
-            path = ("objects", i)
+            path = (items, i)
         elif kind == "coordinate":
-            doc["objects"][i].setdefault("bbox", [1.0, 1.0, 2.0, 2.0])
-            path = ("objects", i, "bbox", data.draw(st.integers(0, 3)))
+            doc[items][i].setdefault("bbox", [1.0, 1.0, 2.0, 2.0])
+            path = (items, i, "bbox", data.draw(st.integers(0, 3)))
         else:
-            path = ("objects", i, kind)
+            path = (items, i, kind)
     value = data.draw(st.sampled_from(REPLACEMENTS))
     parent = doc
     for key in path[:-1]:
@@ -113,6 +129,84 @@ def test_ground_truth_decoder_matches_record_parser(doc, data):
         assert columns.distances.tolist() == [gt.abs_distance for gt in records]
         boxes = [None if math.isnan(b[0]) else b for b in columns.boxes.tolist()]
         assert boxes == [None if gt.bbox is None else _bbox_list(gt.bbox) for gt in records]
+
+
+det_object = st.fixed_dictionaries({
+    "class_id": st.integers(0, 3),
+    "class_name": st.sampled_from(CLASSES),
+    "confidence": st.floats(0, 1),
+    "bbox": bbox,
+})
+det_document = st.fixed_dictionaries({
+    "image": st.sampled_from(["a", "b"]),
+    "width": st.integers(300, 700),
+    "height": st.integers(300, 700),
+    "detections": st.lists(det_object, max_size=4),
+})
+
+
+def assert_same_detections(payload, expected):
+    """Columns and records agree: both rejected, or equal values, signed zeros included."""
+    ds = outcome(parse_detections, payload)
+    assert ds == expected
+    if expected == "rejected":
+        return
+    dets, records = ds.columns, expected.detections
+    assert dets.class_ids == [d.class_id for d in records]
+    assert dets.class_names == [d.class_name for d in records]
+    assert dets.confidence.tolist() == [d.confidence for d in records]
+    assert repr(dets.boxes.tolist()) == repr([_bbox_list(d.bbox) for d in records])
+
+
+@settings(max_examples=300)
+@given(det_document, st.data())
+def test_detections_decoder_matches_record_parser(doc, data):
+    payload = mutate(doc, data, ["bbox", "class_id", "class_name", "confidence"])
+    assert_same_detections(payload, outcome(reference_parse_detections, payload))
+
+
+CAR = {"class_id": 2**70, "class_name": "car", "confidence": 0.5, "bbox": [1, 2, 3, 4]}
+
+
+@pytest.mark.parametrize("field, value, result", [
+    ("bbox", [-math.inf, 5, math.inf, 20], [0.0, 5.0, 640.0, 20.0]),
+    ("bbox", [-0.0, 5, 10, math.inf], [-0.0, 5.0, 10.0, 480.0]),
+    ("bbox", [math.nan, 5, 10, 20], "empty after clamping"),
+    ("bbox", [5, 5, 10, math.nan], "empty after clamping"),
+    ("bbox", [math.inf, 5, math.inf, 20], "inverted bbox"),
+    ("bbox", [700, 10, 800, 20], "empty after clamping"),  # wholly right of the 640-wide image
+    ("class_id", -1, "negative class_id"),
+    ("class_name", "", "empty class_name"),
+    ("confidence", 1.5, "outside"),
+    ("confidence", -0.5, "outside"),
+    ("width", 0, "empty after clamping"),
+    ("height", -3, "empty after clamping"),
+])
+def test_detections_decoder_edge_cases(field, value, result):
+    doc = {"image": "a", "width": 640, "height": 480, "detections": [dict(CAR)]}
+    (doc if field in doc else doc["detections"][0])[field] = value
+    payload = json.dumps(doc)
+    assert_same_detections(payload, outcome(reference_parse_detections, payload))
+    if isinstance(result, str):
+        with pytest.raises(DetectionFormatError, match=result):
+            parse_detections(payload)
+    else:
+        dets = parse_detections(payload).columns
+        assert repr(dets.boxes.tolist()) == repr([result]) and dets.class_ids == [2**70]
+
+
+def test_detections_decoder_image_size_past_float_range():
+    # such a size is only converted to float, and rejected, once there are boxes to clamp
+    for dets in ([], [CAR]):
+        payload = json.dumps({"image": "a", "width": 10**400, "height": 1, "detections": dets})
+        assert_same_detections(payload, outcome(reference_parse_detections, payload))
+
+
+def test_detections_decoder_checks_image_size_without_boxes():
+    payload = json.dumps({"image": "a", "width": 0, "height": 1, "detections": []})
+    assert_same_detections(payload, outcome(reference_parse_detections, payload))
+    with pytest.raises(DetectionFormatError, match="dimensions must be positive"):
+        parse_detections(payload)
 
 
 def accepts(build):
@@ -208,3 +302,127 @@ def test_report_invariant_to_file_splits_and_order(images, data):
         [roi.serialize_distances(ids[k], chunk) for k, chunk in pred_chunks],
         [evaluate.serialize_ground_truth(ids[k], chunk) for k, chunk in gt_chunks],
     ) == base
+
+
+# ---- columnar predict against the record chain ---------------------------------
+
+MIN_CONF, IOU = 0.25, 0.45
+# few values, so that ties are common; 0.1 is below MIN_CONF
+confidences = st.sampled_from([0.1, 0.5, 0.5, 0.7, 0.9])
+# no calibration, the benchmark's, and one that gives negative distances below REV 10
+MODELS = [
+    None, calib.CalibrationModel(0.35, 0.92, 0.0015, 1.25), calib.CalibrationModel(-5, 0.5, 0, 1),
+]
+# far thinner than a grid cell: its far edge underflows to 0 on a coarser grid
+SLIVER = 5e-324
+
+
+@st.composite
+def predict_inputs(draw):
+    """A noisy synth map, metric or disparity, and raw detections for an image 2-3x larger.
+
+    Every object has its box at a drawn confidence plus jittered duplicates.
+    A sliver box projects to an empty rect, a box past every border clamps to
+    the whole image, and on a metric map a box lies inside a sensor hole.
+    Detections are shuffled.
+    """
+    objects = draw(st.lists(scene_object, min_size=1, max_size=5))
+    spec = SceneSpec(48, 32, 80.0, tuple(objects), DEPTHS, 0.02, draw(st.integers(0, 99)))
+    disp, _, _ = render_scene(spec)
+    scale = draw(st.sampled_from([2, 3]))
+    width, height = 48 * scale + draw(st.integers(0, 5)), 32 * scale + draw(st.integers(0, 5))
+    raw = []
+
+    def add(class_name, box, confidence):
+        cid = [*CLASSES, "cyclist", "truck"].index(class_name)
+        raw.append({"class_id": cid, "class_name": class_name, "confidence": confidence,
+                    "bbox": box})
+
+    for obj in objects:
+        box = [scale * c for c in _bbox_list(obj.bbox)]
+        add(obj.class_name, box, draw(confidences))
+        for _ in range(draw(st.integers(0, 2))):
+            dx, dy = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            jittered = [box[0] + dx, box[1] + dy, box[2] + dx, box[3] + dy]
+            add(obj.class_name, jittered, draw(confidences))
+    add("car", [0, 0, SLIVER, height], 0.9)
+    add("truck", [-5, -5, width + 5, height + 5], draw(confidences))  # clamps to the whole image
+    depth = disp
+    if draw(st.booleans()):
+        values = disparity_to_depth(disp, DEPTHS).values.copy()
+        col, row = draw(st.integers(0, 40)), draw(st.integers(0, 24))
+        values[row : row + 8, col : col + 8] = 0.0
+        # its own class, so that NMS never drops it; it projects inside the hole
+        sx, sy = width / 48, height / 32
+        add("cyclist", [(col + 1) * sx, (row + 1) * sy, (col + 7) * sx, (row + 7) * sy], 0.9)
+        depth = ScalarMap(48, 32, MapKind.DEPTH, values)
+    raw = [raw[i] for i in draw(st.permutations(range(len(raw))))]
+    doc = {"image": "img", "width": width, "height": height, "detections": raw}
+    return json.dumps(doc).encode(), write_pfm(depth), depth.kind, draw(st.sampled_from(MODELS))
+
+
+def predict(det_bytes, pfm, model, kind):
+    """`monodist predict` on one image through the files backend."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "img.det.json").write_bytes(det_bytes)
+        (d / "img.pfm").write_bytes(pfm)
+        config = {
+            "backend": {
+                "mode": "files", "depth_dir": ".", "det_dir": ".", "depth_kind": kind.value,
+            },
+            "depth_range": DEPTHS.to_dict(),
+            "min_conf": MIN_CONF,
+            "iou_threshold": IOU,
+        }
+        if model is not None:
+            (d / "m.calib.json").write_bytes(calib.serialize_model(model))
+            config["calibration_model_path"] = "m.calib.json"
+        (d / "config.json").write_text(json.dumps(config))
+        argv = ["predict", "--config", str(d / "config.json"), "--image-id", "img"]
+        assert cli.dispatch([*argv, "--out", str(d / "out.json")]) == 0
+        return (d / "out.json").read_bytes()
+
+
+def reference_predict(det_bytes, depth, model):
+    """The record chain: parse, filter, NMS, then per box its projection and np.median."""
+    ds = reference_parse_detections(det_bytes)
+    ds = replace(ds, detections=tuple(d for d in ds.detections if d.confidence >= MIN_CONF))
+    ds = reference_nms(ds, IOU)
+    mw, mh = depth.width, depth.height
+    sx, sy = mw / ds.image_width, mh / ds.image_height
+    values = depth.values.astype(np.float64)
+    holes = depth.kind is MapKind.DEPTH and values.min() <= 0
+    objects, failures = [], []
+    for det in ds.detections:
+        b = det.bbox
+        col0, row0 = max(0, math.floor(b.x0 * sx)), max(0, math.floor(b.y0 * sy))
+        col1, row1 = min(mw, math.ceil(b.x1 * sx)), min(mh, math.ceil(b.y1 * sy))
+        if col0 >= col1 or row0 >= row1:
+            reason = f"bbox {b} projects to empty rect on a {mw}x{mh} grid"
+            failures.append(roi.RoiFailure(det, reason))
+            continue
+        window = values[row0:row1, col0:col1]
+        if holes:
+            window = window[window > 0]
+            if window.size == 0:
+                rect = roi.IndexRect(col0, row0, col1, row1)
+                failures.append(roi.RoiFailure(det, f"no positive depth in {rect}"))
+                continue
+        if depth.kind is MapKind.DISPARITY:
+            window = disparity_to_depth_value(window, DEPTHS)
+        rev = float(np.median(window))
+        abs_m = None if model is None else calib.apply(model, rev)
+        objects.append(roi.ObjectDistance(det, rev, abs_m))
+    return roi.serialize_distances("img", objects, failures)
+
+
+@settings(max_examples=100)
+@given(predict_inputs())
+def test_columnar_predict_matches_record_chain(inputs):
+    det_bytes, pfm, kind, model = inputs
+    expected = reference_predict(det_bytes, read_pfm(pfm, kind), model)
+    reasons = [f["reason"] for f in json.loads(expected)["failures"]]
+    assert any("projects to empty rect" in r for r in reasons)
+    assert (kind is MapKind.DEPTH) == any("no positive depth" in r for r in reasons)
+    assert predict(det_bytes, pfm, model, kind) == expected

@@ -1,13 +1,13 @@
 import json
 import math
-from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import reference_iou
+from conftest import reference_iou, reference_nms
 from monodist.detect import (
     BoundingBox,
     Detection,
@@ -205,24 +205,6 @@ class TestNms:
         assert nms(out, thr) == out
 
 
-def reference_nms(ds, iou_threshold):
-    """The pure-Python greedy NMS, kept as the reference for `nms`."""
-    order = sorted(
-        range(len(ds.detections)), key=lambda i: (-ds.detections[i].confidence, i)
-    )
-    kept = []
-    for i in order:
-        d = ds.detections[i]
-        suppressed = any(
-            ds.detections[k].class_id == d.class_id
-            and reference_iou(ds.detections[k].bbox, d.bbox) > iou_threshold
-            for k in kept
-        )
-        if not suppressed:
-            kept.append(i)
-    return replace(ds, detections=tuple(ds.detections[i] for i in kept))
-
-
 def box_rows(boxes):
     return np.array([(b.x0, b.y0, b.x1, b.y1) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
@@ -296,3 +278,20 @@ class TestNmsMatchesReference:
 
     def test_empty(self):
         assert nms(det_set(), 0.45) == reference_nms(det_set(), 0.45) == det_set()
+
+    def test_thousands_of_one_class_in_linear_memory(self):
+        n = 3000
+        rng = np.random.default_rng(0)
+        # 60 clusters of 50 jittered 20 px boxes, ranked in random order across IoU blocks
+        corners = rng.uniform(2, 600, (60, 2)).repeat(50, axis=0) + rng.uniform(-2, 2, (n, 2))
+        conf = rng.uniform(0, 1, n).tolist()
+        ds = det_set(*(det(x, y, x + 20, y + 20, conf=c) for (x, y), c in zip(corners.tolist(), conf)))
+        tracemalloc.start()
+        try:
+            out = nms(ds, 0.45)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == reference_nms(ds, 0.45)
+        # one n x n float64 IoU matrix alone would take 72 MB
+        assert peak < 4000 * n
