@@ -10,9 +10,10 @@ import argparse
 import enum
 import functools
 import os
+import re
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from html import escape
 from pathlib import Path
 
@@ -34,52 +35,41 @@ class BackendMode(enum.Enum):
     PROCESS = "process"
 
 
+# an image id becomes a file name and a shell word: no path, shell syntax or leading "." or "-"
+_IMAGE_ID = re.compile(r"[A-Za-z0-9_][A-Za-z0-9._-]*")
+
+
 @dataclass(frozen=True)
 class BackendConfig:
+    """The depth and detection sources: directories of `<image_id>` files or command templates."""
+
     mode: BackendMode
-    depth_dir: Path | None = None
-    det_dir: Path | None = None
-    depth_command: str | None = None
-    det_command: str | None = None
+    depth: Path | str
+    det: Path | str
     depth_kind: maps.MapKind = maps.MapKind.DISPARITY
 
-    def validate(self):
-        if self.mode is BackendMode.FILES:
-            for name, d in (("depth_dir", self.depth_dir), ("det_dir", self.det_dir)):
-                if d is None:
-                    raise DataError(f"files backend requires {name}")
-                if not d.is_dir():
-                    raise DataError(f"{name} {d} is not a directory")
-        else:
-            if not self.depth_command or not self.det_command:
-                raise DataError("process backend requires depth_command and det_command")
-
     def fetch_depth_bytes(self, image_id: str) -> bytes:
-        if self.mode is BackendMode.FILES:
-            path = self.depth_dir / f"{image_id}.pfm"
-            if not path.is_file():
-                raise BackendError(f"missing depth map {path}")
-            return path.read_bytes()
-        return _run_backend_command(self.depth_command, image_id)
+        return self._fetch(self.depth, image_id, ".pfm", "depth map")
 
     def fetch_detection_bytes(self, image_id: str) -> bytes:
+        return self._fetch(self.det, image_id, ".det.json", "detections")
+
+    def _fetch(self, source: Path | str, image_id: str, suffix: str, what: str) -> bytes:
+        if not _IMAGE_ID.fullmatch(image_id):
+            raise BackendError(f"bad image id {image_id!r}, expected {_IMAGE_ID.pattern}")
         if self.mode is BackendMode.FILES:
-            path = self.det_dir / f"{image_id}.det.json"
+            path = source / f"{image_id}{suffix}"
             if not path.is_file():
-                raise BackendError(f"missing detections {path}")
+                raise BackendError(f"missing {what} {path}")
             return path.read_bytes()
-        return _run_backend_command(self.det_command, image_id)
-
-
-def _run_backend_command(template: str, image_id: str) -> bytes:
-    cmd = template.format(image_id=image_id)
-    proc = subprocess.run(cmd, shell=True, capture_output=True)
-    if proc.returncode != 0:
-        raise BackendError(
-            f"backend command {cmd!r} exited {proc.returncode}: "
-            f"{proc.stderr.decode(errors='replace').strip()}"
-        )
-    return proc.stdout
+        cmd = source.format(image_id=image_id)
+        proc = subprocess.run(cmd, shell=True, capture_output=True)
+        if proc.returncode != 0:
+            raise BackendError(
+                f"backend command {cmd!r} exited {proc.returncode}: "
+                f"{proc.stderr.decode(errors='replace').strip()}"
+            )
+        return proc.stdout
 
 
 @dataclass(frozen=True)
@@ -89,14 +79,12 @@ class PipelineConfig:
     min_conf: float = detect.DEFAULT_MIN_CONFIDENCE
     iou_threshold: float = detect.DEFAULT_IOU_THRESHOLD
     calibration_model: calib.CalibrationModel | None = None
-    eval_threshold: float = evaluate.DEFAULT_ACCURACY_THRESHOLD_M
 
     def __post_init__(self):
         if not 0.0 <= self.min_conf <= 1.0:
             raise DataError(f"min_conf {self.min_conf} outside [0, 1]")
         if not 0.0 < self.iou_threshold < 1.0:
             raise DataError(f"iou_threshold {self.iou_threshold} outside (0, 1)")
-        evaluate._check_threshold(self.eval_threshold)
 
 
 def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
@@ -111,16 +99,20 @@ def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
             if overrides:
                 doc.update({k: v for k, v in overrides.items() if v is not None})
             b = doc["backend"]
+            mode = BackendMode(b["mode"])
             base = path.parent
-            backend = BackendConfig(
-                mode=BackendMode(b["mode"]),
-                depth_dir=base / b["depth_dir"] if b.get("depth_dir") else None,
-                det_dir=base / b["det_dir"] if b.get("det_dir") else None,
-                depth_command=b.get("depth_command"),
-                det_command=b.get("det_command"),
-                depth_kind=maps.MapKind(b.get("depth_kind", "disparity")),
-            )
-            backend.validate()
+            files = mode is BackendMode.FILES
+            sources = []
+            for key in ("depth_dir", "det_dir") if files else ("depth_command", "det_command"):
+                source = b.get(key)
+                if not (source and isinstance(source, str)):
+                    raise DataError(f"{mode.value} backend requires {key}")
+                if files:
+                    source = base / source
+                    if not source.is_dir():
+                        raise DataError(f"{key} {source} is not a directory")
+                sources.append(source)
+            backend = BackendConfig(mode, *sources, maps.MapKind(b.get("depth_kind", "disparity")))
             model = None
             model_path = doc.get("calibration_model_path")
             if model_path:
@@ -131,9 +123,6 @@ def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
                 min_conf=float(doc.get("min_conf", detect.DEFAULT_MIN_CONFIDENCE)),
                 iou_threshold=float(doc.get("iou_threshold", detect.DEFAULT_IOU_THRESHOLD)),
                 calibration_model=model,
-                eval_threshold=float(
-                    doc.get("eval_threshold_m", evaluate.DEFAULT_ACCURACY_THRESHOLD_M)
-                ),
             )
     except OSError as e:
         raise DataError(f"cannot read referenced file: {e}") from None
@@ -164,28 +153,24 @@ def predict_image(
     return objects, failures
 
 
-def render_svg(
-    image_id: str,
-    objects: list[roi.ObjectDistance],
-    image_size: tuple[int, int],
-) -> str:
+def render_svg(image_id: str, objects: detect.Columns, image_size: tuple[int, int]) -> str:
     """SVG overlay: one rect + one label per object, image pixel coordinates."""
     w, h = image_size
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
-        f"  <!-- {escape(image_id, quote=False)} -->",
+        # a comment may not contain "--", so each "-" of the id becomes a character reference
+        f"  <!-- {escape(image_id, quote=False).replace('-', '&#45;')} -->",
     ]
-    for od in objects:
-        b = od.detection.bbox
-        dist = od.abs if od.abs is not None else od.rev
-        label = f"{od.detection.class_name} {dist:.2f} m"
+    rows = zip(objects.class_names, objects.boxes.tolist(), objects.distances.tolist())
+    for name, (x0, y0, x1, y1), dist in rows:
+        label = f"{name} {dist:.2f} m"
         lines.append(
-            f'  <rect x="{b.x0:g}" y="{b.y0:g}" width="{b.x1 - b.x0:g}" '
-            f'height="{b.y1 - b.y0:g}" fill="none" stroke="lime" stroke-width="2"/>'
+            f'  <rect x="{x0:g}" y="{y0:g}" width="{x1 - x0:g}" '
+            f'height="{y1 - y0:g}" fill="none" stroke="lime" stroke-width="2"/>'
         )
         lines.append(
-            f'  <text x="{b.x0:g}" y="{max(b.y0 - 4, 10):g}" fill="lime" '
+            f'  <text x="{x0:g}" y="{max(y0 - 4, 10):g}" fill="lime" '
             f'font-family="monospace" font-size="14">{escape(label, quote=False)}</text>'
         )
     lines.append("</svg>")
@@ -213,7 +198,8 @@ def _cmd_predict(args) -> int:
     overrides = {
         "min_conf": args.min_conf,
         "iou_threshold": args.iou_threshold,
-        "calibration_model_path": args.calibration,
+        # relative to the working directory, unlike the config's own paths
+        "calibration_model_path": args.calibration and Path(args.calibration).resolve(),
     }
     cfg = load_config(Path(config_path), overrides)
     objects, failures = predict_image(cfg, args.image_id)
@@ -247,12 +233,7 @@ def _cmd_synth(args) -> int:
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     image_id = prefix.name
-    dets = detect.DetectionSet(
-        image_id=image_id,
-        image_width=dets.image_width,
-        image_height=dets.image_height,
-        detections=dets.detections,
-    )
+    dets = replace(dets, image_id=image_id)
     Path(f"{prefix}.pfm").write_bytes(maps.write_pfm(disp_map))
     Path(f"{prefix}.det.json").write_bytes(detect.serialize_detections(dets))
     Path(f"{prefix}.gt.json").write_bytes(evaluate.serialize_ground_truth(image_id, gts))
@@ -267,7 +248,7 @@ def _cmd_annotate(args) -> int:
     except ValueError:
         print(f"annotate: bad --image-size {args.image_size!r}, expected WxH", file=sys.stderr)
         return EXIT_USAGE
-    image_id, objects = roi.parse_distances(Path(args.distances).read_bytes())
+    image_id, objects = roi.decode_distances(Path(args.distances).read_bytes())
     Path(args.out).write_text(render_svg(image_id, objects, (w, h)))
     return EXIT_OK
 
@@ -332,10 +313,7 @@ def dispatch(argv: list[str]) -> int:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except MonodistError as e:
-        print(f"monodist {args.command}: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
+    except (MonodistError, OSError) as e:
         print(f"monodist {args.command}: {e}", file=sys.stderr)
         return EXIT_DATA
 

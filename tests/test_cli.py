@@ -2,15 +2,20 @@ import json
 import shlex
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import checkout_env
 from monodist import cli
 from monodist.calib import REFERENCE_COEFFS, CalibrationModel, serialize_model
 from monodist.detect import BoundingBox, Detection, DetectionSet, serialize_detections
-from monodist.errors import DataError
+from monodist.errors import BackendError
 from monodist.maps import MapKind, ScalarMap, write_pfm
 from monodist.roi import ObjectDistance, parse_distances, serialize_distances
 from monodist.synth import SceneObject, SceneSpec, serialize_scene
@@ -212,6 +217,46 @@ class TestPredict:
         cfg.write_text(json.dumps(doc))
         assert run(f"predict --config {cfg} --image-id x --out {tmp_path}/o.json") == 2
 
+    def test_shell_syntax_in_image_id_runs_nothing(self, tmp_path):
+        marker = tmp_path / "PWNED"
+        doc = {
+            "backend": {
+                "mode": "process",
+                "depth_command": "cat {image_id}.pfm",
+                "det_command": "cat {image_id}.det.json",
+            }
+        }
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["predict", "--config", str(cfg), "--out", str(tmp_path / "o.json")]
+        assert run(argv + ["--image-id", f"img0; touch {marker}; echo"]) == 2
+        assert not marker.exists()
+
+    def test_image_id_with_a_path_exit_2(self, tmp_path, capsys):
+        data = synth_inputs(tmp_path)
+        (data / "sub").mkdir()
+        cfg = files_config(tmp_path, data / "sub")
+        out = tmp_path / "o.json"
+        assert run(f"predict --config {cfg} --image-id ../img0 --out {out}") == 2
+        assert "bad image id '../img0'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_calibration_path_is_relative_to_working_directory(self, tmp_path, monkeypatch):
+        data = synth_inputs(tmp_path)
+        (tmp_path / "cfg").mkdir()
+        cfg = files_config(tmp_path, data).rename(tmp_path / "cfg" / "c.json")
+        doc = json.loads(cfg.read_text())
+        doc["backend"].update(depth_dir="../data", det_dir="../data")
+        cfg.write_text(json.dumps(doc))
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "m.calib.json").write_bytes(serialize_model(IDENT))
+        monkeypatch.chdir(work)
+        argv = "predict --config ../cfg/c.json --image-id img0 --out o.json"
+        assert run(f"{argv} --calibration m.calib.json") == 0
+        _, objects = parse_distances((work / "o.json").read_bytes())
+        assert objects[0].abs == pytest.approx(10.0, abs=1e-4)
+
     def test_detections_are_fetched_before_the_depth_map(self, tmp_path):
         marker = tmp_path / "depth_was_fetched"
         doc = {
@@ -290,16 +335,6 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("monodist evaluate: threshold") and "Traceback" not in err
 
-    @pytest.mark.parametrize("threshold", ["NaN", "Infinity", "-1"])
-    def test_config_threshold_not_positive_finite_rejected(self, tmp_path, threshold):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(
-            '{"backend": {"mode": "process", "depth_command": "a", "det_command": "b"}, '
-            f'"eval_threshold_m": {threshold}}}'
-        )
-        with pytest.raises(DataError, match="threshold"):
-            cli.load_config(cfg)
-
     def test_synth_predict_evaluate_closure(self, tmp_path):
         objects = (
             SceneObject("car", 12.0, BoundingBox(2, 2, 18, 18)),
@@ -374,6 +409,17 @@ class TestAnnotate:
         assert "<!-- a&lt;b&gt;&amp;c -->" in svg
         assert ">&lt;&amp;&gt; 9.80 m</text>" in svg
 
+    @pytest.mark.parametrize("image_id", ["a--b", "--"])
+    def test_svg_is_well_formed_for_dashes_in_the_image_id(self, tmp_path, image_id):
+        od = {"class_name": "car", "confidence": 0.9, "bbox": [10, 20, 110, 80],
+              "rev_m": 9.8, "abs_m": None}
+        dist = tmp_path / "img.dist.json"
+        dist.write_text(json.dumps({"image": image_id, "objects": [od]}))
+        out = tmp_path / "overlay.svg"
+        assert run(f"annotate --distances {dist} --image-size 640x480 --out {out}") == 0
+        root = ET.fromstring(out.read_text())
+        assert [e.tag.rpartition("}")[2] for e in root] == ["rect", "text"]
+
     def test_bad_size_exit_1(self, tmp_path):
         dist = tmp_path / "img.dist.json"
         dist.write_text(json.dumps({"image": "img", "objects": []}))
@@ -432,3 +478,37 @@ def test_cli_import_leaves_out_xml_sax():
         "assert 'xml.sax' not in sys.modules, 'xml.sax was imported'\n"
     )
     assert proc.returncode == 0, proc.stderr
+
+
+image_ids = st.text(max_size=8) | st.text(alphabet="./-_a;$ ", max_size=6)
+
+
+@given(image_ids)
+def test_fetch_reads_only_inside_its_directory_and_quotes_nothing(tmp_path_factory, image_id):
+    frames = tmp_path_factory.getbasetemp() / "frames"
+    backends = (
+        cli.BackendConfig(cli.BackendMode.FILES, frames, frames),
+        cli.BackendConfig(cli.BackendMode.PROCESS, "depth {image_id}", "det {image_id}"),
+    )
+    reads, commands = [], []
+
+    def shell(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, b"", b"")
+
+    with (
+        mock.patch.object(Path, "is_file", return_value=True),
+        mock.patch.object(Path, "read_bytes", autospec=True, side_effect=reads.append),
+        mock.patch.object(subprocess, "run", side_effect=shell),
+    ):
+        for backend in backends:
+            for fetch in (backend.fetch_depth_bytes, backend.fetch_detection_bytes):
+                try:
+                    fetch(image_id)
+                except BackendError:
+                    pass
+    for path in reads:
+        assert path.resolve().parent == frames.resolve()
+    if commands:
+        # the id reached a shell: it must be one plain word, and not an option
+        assert shlex.quote(image_id) == image_id and not image_id.startswith("-")

@@ -1,5 +1,9 @@
 """Malformed input files end in a DataError: exit 2 from the CLI, never a traceback."""
+import copy
+import functools
 import json
+import math
+import operator
 import subprocess
 import sys
 
@@ -173,3 +177,92 @@ def test_load_config_raises_only_data_errors(tmp_path_factory, payload):
         cli.load_config(path, {"min_conf": None})
     except DataError:
         pass
+
+
+MISSING = object()
+# the new value of the one mutated field; MISSING deletes it
+field_values = st.one_of(
+    json_values,
+    st.sampled_from([MISSING, math.nan, math.inf, -math.inf, 1e308, -1, 0, "", ".", "\x00"]),
+)
+
+
+def field_paths(node, path=()):
+    """The key path of every object field and list item nested in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
+def mutate_one_field(doc, data):
+    """A valid document with one of its fields, at any depth, replaced or deleted."""
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(field_paths(doc))))
+    value = data.draw(field_values)
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc).encode()
+
+
+MODEL_DOC = {"c0": 21.714, "c1": -0.5373, "c2": 0.0036, "h_m": 1.5, "fit_rmse_m": 0.2,
+             "n_samples": 9}
+# each parser with a valid document and the serialiser an accepted record must round-trip through
+ROUND_TRIPS = {
+    "scene": (synth.serialize_scene, {
+        "map_width": 64, "map_height": 48, "background_depth_m": 50.0,
+        "depth_range": {"min_m": 0.5, "max_m": 80.0},
+        "objects": [
+            {"class_name": "car", "depth_m": 10.0, "bbox": [5, 5, 30, 30]},
+            {"class_name": "person", "depth_m": 20.5, "bbox": [32.5, 4, 60, 40]},
+        ],
+        "noise_amplitude": 0.1, "seed": 3,
+    }),
+    "calibration_model": (calib.serialize_model, MODEL_DOC),
+}
+
+
+@given(st.sampled_from(sorted(ROUND_TRIPS)), st.data())
+def test_one_field_mutation_raises_only_the_parsers_error(name, data):
+    (parse, error), (serialize, doc) = PARSERS[name], ROUND_TRIPS[name]
+    try:
+        record = parse(mutate_one_field(doc, data))
+    except error:
+        return
+    assert parse(serialize(record)) == record
+
+
+CONFIGS = {
+    "files": {"mode": "files", "depth_dir": "frames", "det_dir": "frames", "depth_kind": "depth"},
+    "process": {"mode": "process", "depth_command": "cat frames/{image_id}.pfm",
+                "det_command": "cat frames/{image_id}.det.json"},
+}
+
+
+@given(st.sampled_from(sorted(CONFIGS)), st.data())
+def test_load_config_one_field_mutation_raises_only_data_errors(tmp_path_factory, mode, data):
+    base = tmp_path_factory.getbasetemp() / "mutated"
+    (base / "frames").mkdir(parents=True, exist_ok=True)
+    (base / "m.calib.json").write_text(json.dumps(MODEL_DOC))
+    doc = {
+        "backend": CONFIGS[mode], "depth_range": {"min_m": 0.5, "max_m": 80.0},
+        "min_conf": 0.25, "iou_threshold": 0.45, "calibration_model_path": "m.calib.json",
+    }
+    path = base / "c.json"
+    path.write_bytes(mutate_one_field(doc, data))
+    try:
+        cfg = cli.load_config(path)
+    except DataError:
+        return
+    backend = cfg.backend
+    for source in (backend.depth, backend.det):
+        if backend.mode is cli.BackendMode.FILES:
+            assert source.is_dir()
+        else:
+            assert isinstance(source, str) and source
