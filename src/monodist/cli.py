@@ -111,6 +111,12 @@ def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
                     source = base / source
                     if not source.is_dir():
                         raise DataError(f"{key} {source} is not a directory")
+                else:
+                    try:
+                        source.format(image_id="x")
+                    except (KeyError, IndexError, ValueError, AttributeError, TypeError) as e:
+                        raise DataError(f"{key} {source!r} substitutes only {{image_id}} ({e!r}): "
+                                        "literal braces must be doubled, {{ and }}") from None
                 sources.append(source)
             backend = BackendConfig(mode, *sources, maps.MapKind(b.get("depth_kind", "disparity")))
             model = None

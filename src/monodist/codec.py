@@ -6,15 +6,53 @@ counts their time inside the parser or serialiser that calls them.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from contextlib import contextmanager
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .errors import DataError
 
+# json's C encoder, exact where indent adds nothing: scalars, empty containers, {key: 0}
+_flat = json.JSONEncoder().encode
+
 
 def _dump(doc: dict) -> bytes:
-    """Canonical record bytes: 2-space indented JSON, one trailing newline, UTF-8."""
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    """Canonical record bytes: those of ``json.dumps(doc, indent=2)`` plus one newline."""
+    return (_column([doc], "\n")[0] + "\n").encode("ascii")
+
+
+def _column(values: list, nl: str) -> list[str]:
+    """The ``json.dumps(indent=2)`` text of each value at margin ``nl`` (newline and indent).
+
+    A column of one kind goes through C-level maps: finite floats and ints by ``repr``,
+    strings by json's quoting, the items of lists as one column, and dicts with the same
+    keys in the same order as one column per key. Other values go one at a time.
+    """
+    kinds, inner = set(map(type, values)), nl + "  "
+    if kinds == {int} or kinds == {float} and math.isfinite(sum(values)):
+        return list(map(repr, values))  # a NaN or infinity makes the sum NaN or infinite
+    if kinds == {str}:
+        return list(map(_quote, values))
+    if kinds == {list} and all(values):
+        items = iter(_column(list(chain.from_iterable(values)), inner))
+        return [f"[{inner}{(',' + inner).join(islice(items, len(v)))}{nl}]" for v in values]
+    shapes = set(map(tuple, values)) if kinds == {dict} and all(values) else ()
+    if len(shapes) == 1:
+        keys = shapes.pop()
+        columns = [_column(list(map(itemgetter(k), values)), inner) for k in keys]
+        fields = (_flat({k: 0})[1:-4].replace("%", "%%") + ": %s" for k in keys)
+        return list(map(f"{{{inner}{(',' + inner).join(fields)}{nl}}}".__mod__, zip(*columns)))
+    return [_value(v, nl) for v in values]
+
+
+def _value(v, nl: str) -> str:
+    """One value of a mixed column; a non-empty container is a column of one."""
+    if not (isinstance(v, (list, tuple, dict)) and v):
+        return _flat(v)
+    return _column([dict(v) if isinstance(v, dict) else list(v)], nl)[0]
 
 
 @contextmanager

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -241,21 +242,15 @@ def serialize_report(report: MetricsReport) -> bytes:
 def render_table(report: MetricsReport) -> str:
     """Plain-text per-object table; values rounded to 2 decimals here only."""
     headers = ("Object", "Absolute distance (m)", "Predicted distance (m)", "Error (m)")
-    rows = [
-        (p.class_name, f"{p.truth:.2f}", f"{p.predicted:.2f}", f"{p.error:.2f}")
-        for p in report.pairs
+    columns = [[p.class_name for p in report.pairs]] + [
+        list(map("{:.2f}".format, map(attrgetter(name), report.pairs)))
+        for name in ("truth", "predicted", "error")
     ]
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    lines.append("")
+    widths = [max(map(len, (h, *c))) for h, c in zip(headers, columns)]
+    # the last column is left unpadded: a rounded number never ends in a space
+    row = "  ".join([*(f"{{:{w}}}" for w in widths[:-1]), "{}"])
+    rule = "  ".join("-" * w for w in widths)
+    lines = [row.format(*headers), rule, *map(row.format, *columns), ""]
     lines.append(
         f"RMSE: {report.rmse:.4f} m   accuracy(T={report.threshold:g} m): {report.accuracy:.4f}   "
         f"unmatched preds: {report.unmatched_predictions}   unmatched GT: {report.unmatched_truths}"

@@ -113,9 +113,10 @@ def _median_depth(values: np.ndarray, depth_range: DepthRange | None) -> float:
     n = values.size
     lo, hi = (n - 1) // 2, n // 2
     middles = np.partition(values, (lo, hi), axis=None)[lo : hi + 1]
-    if depth_range is None:
-        return float(middles.mean(dtype=np.float64))
-    return float(disparity_to_depth_value(middles, depth_range).mean())
+    if depth_range is not None:
+        middles = disparity_to_depth_value(middles, depth_range)
+    m = middles.tolist()  # Python floats: float64 arithmetic without np.mean's overhead
+    return (m[0] + m[1]) / 2 if hi > lo else m[0]
 
 
 def measure_columns(

@@ -151,6 +151,31 @@ def reference_parse_ground_truth(data):
 REFERENCE_ERRORS = [0.69, 0.15, 0.57, 0.05, 0.09, 0.27, 0.13, 0.31, 0.12]
 
 
+def reference_render_table(report):
+    """The row-wise evaluate table that `evaluate.render_table` must reproduce."""
+    headers = ("Object", "Absolute distance (m)", "Predicted distance (m)", "Error (m)")
+    rows = [
+        (p.class_name, f"{p.truth:.2f}", f"{p.predicted:.2f}", f"{p.error:.2f}")
+        for p in report.pairs
+    ]
+    widths = [
+        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
+        for i, h in enumerate(headers)
+    ]
+    lines = [
+        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
+        "  ".join("-" * w for w in widths),
+    ]
+    for r in rows:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    lines.append("")
+    lines.append(
+        f"RMSE: {report.rmse:.4f} m   accuracy(T={report.threshold:g} m): {report.accuracy:.4f}   "
+        f"unmatched preds: {report.unmatched_predictions}   unmatched GT: {report.unmatched_truths}"
+    )
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def reference_pairs():
     return [MatchedPair(cls, pred, truth) for cls, truth, pred in REFERENCE_ROWS]

@@ -271,6 +271,37 @@ class TestPredict:
         assert run(f"predict --config {cfg} --image-id x --out {tmp_path}/o.json") == 2
         assert not marker.exists()
 
+    @pytest.mark.parametrize("template", [
+        "awk '{print}' {image_id}.pfm", "cat {0}.pfm", "cat {image_id", "cat {image_id.x}",
+        "cat {image_id[x]}", "cat {image_id:d}",
+    ])
+    def test_template_with_a_literal_brace_exit_2(self, tmp_path, capsys, template):
+        doc = {"backend": {"mode": "process", "depth_command": template, "det_command": "true"}}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o.json"
+        assert run(["predict", "--config", str(cfg), "--image-id", "x", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "depth_command" in err and "literal braces must be doubled" in err
+        assert not out.exists()
+
+    def test_doubled_braces_in_a_template_are_literal(self, tmp_path):
+        data = synth_inputs(tmp_path)
+        doc = {
+            "backend": {
+                "mode": "process",
+                "depth_command": f"sh -c 'cat \"$1\"' {{{{}}}} {data}/{{image_id}}.pfm",
+                "det_command": f"cat {data}/{{image_id}}.det.json # {{{{literal}}}}",
+            }
+        }
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        cfg_files = files_config(tmp_path, data)
+        out_p, out_f = tmp_path / "p.dist.json", tmp_path / "f.dist.json"
+        assert run(["predict", "--config", str(cfg), "--image-id", "img0", "--out", str(out_p)]) == 0
+        assert run(f"predict --config {cfg_files} --image-id img0 --out {out_f}") == 0
+        assert out_p.read_bytes() == out_f.read_bytes()
+
 
 class TestEvaluate:
     def test_reference_rows(self, tmp_path):
