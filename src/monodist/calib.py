@@ -69,34 +69,31 @@ def fit_quadratic(samples: list[CalibrationSample], h: float) -> CalibrationMode
             f"need >= 3 samples with >= 3 distinct x values, got {len(np.unique(xs))} distinct"
         )
 
-    targets = ys / h
-    vand = np.vander(xs, 3, increasing=True)  # columns [1, x, x^2]
-    mu = vand[:, 1:].mean(axis=0)
-    sd = vand[:, 1:].std(axis=0)
-    sd[sd == 0.0] = 1.0
-    design = vand.copy()
-    design[:, 1:] = (vand[:, 1:] - mu) / sd
+    with np.errstate(all="ignore"):  # a value beyond float64 is reported below instead
+        targets = ys / h
+        vand = np.vander(xs, 3, increasing=True)  # columns [1, x, x^2]
+        mu = vand[:, 1:].mean(axis=0)
+        sd = vand[:, 1:].std(axis=0)
+        sd[sd == 0.0] = 1.0
+        design = vand.copy()
+        design[:, 1:] = (vand[:, 1:] - mu) / sd
 
-    gram = design.T @ design
-    try:
-        beta = np.linalg.solve(gram, design.T @ targets)
-    except np.linalg.LinAlgError:
-        raise CalibrationError("singular normal equations; x values too degenerate") from None
+        gram = design.T @ design
+        finite = np.isfinite(gram).all()  # else LAPACK may call an overflowed system singular
+        try:
+            beta = np.linalg.solve(gram, design.T @ targets) if finite else np.full(3, math.nan)
+        except np.linalg.LinAlgError:
+            raise CalibrationError("singular normal equations; x values too degenerate") from None
 
-    coeffs = np.empty(3)
-    coeffs[1:] = beta[1:] / sd
-    coeffs[0] = beta[0] - float(np.sum(beta[1:] * mu / sd))
+        coeffs = np.empty(3)
+        coeffs[1:] = beta[1:] / sd
+        coeffs[0] = beta[0] - float(np.sum(beta[1:] * mu / sd))
 
-    residuals = h * (vand @ coeffs) - ys
-    fit_rmse = float(np.sqrt(np.mean(residuals**2)))
-    return CalibrationModel(
-        c0=float(coeffs[0]),
-        c1=float(coeffs[1]),
-        c2=float(coeffs[2]),
-        h=h,
-        fit_rmse=fit_rmse,
-        n_samples=len(samples),
-    )
+        residuals = h * (vand @ coeffs) - ys
+        fit_rmse = float(np.sqrt(np.mean(residuals**2)))
+    if not np.isfinite([*coeffs, fit_rmse]).all():
+        raise CalibrationError("fit overflows float64; x, y_abs or camera height too extreme")
+    return CalibrationModel(*coeffs.tolist(), h=h, fit_rmse=fit_rmse, n_samples=len(samples))
 
 
 def apply(model: CalibrationModel, x: float) -> float:

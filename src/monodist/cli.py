@@ -81,10 +81,7 @@ class PipelineConfig:
     calibration_model: calib.CalibrationModel | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.min_conf <= 1.0:
-            raise DataError(f"min_conf {self.min_conf} outside [0, 1]")
-        if not 0.0 < self.iou_threshold < 1.0:
-            raise DataError(f"iou_threshold {self.iou_threshold} outside (0, 1)")
+        detect._check_thresholds(self.min_conf, self.iou_threshold)
 
 
 def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
@@ -154,7 +151,7 @@ def predict_image(
     if cfg.calibration_model is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below instead
             abs_m = calib.apply(cfg.calibration_model, objects.rev)
-        detect._check_column(np.isfinite(abs_m), abs_m, "abs must be finite, got {}")
+        roi._check_distances(objects.rev, abs_m)
         objects = objects._replace(distances=abs_m, calibrated=np.ones_like(objects.calibrated))
     return objects, failures
 
@@ -311,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
-    """Run one subcommand. Exit 0 on success, 1 on usage error, 2 on data error."""
+    """Run one subcommand. Exit 0 on success, 1 on usage error, 2 on data or memory error."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -319,7 +316,7 @@ def dispatch(argv: list[str]) -> int:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except (MonodistError, OSError) as e:
+    except (MonodistError, OSError, MemoryError) as e:
         print(f"monodist {args.command}: {e}", file=sys.stderr)
         return EXIT_DATA
 

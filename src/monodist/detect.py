@@ -28,9 +28,7 @@ class BoundingBox:
     def __post_init__(self):
         for name in ("x0", "y0", "x1", "y1"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        # finite, non-negative and non-empty; no NaN passes a comparison
-        if not (0.0 <= self.x0 < self.x1 < math.inf and 0.0 <= self.y0 < self.y1 < math.inf):
-            raise DataError(f"non-finite, negative, inverted or empty bbox {_bbox_list(self)}")
+        _bbox_array([_bbox_list(self)])
 
     @property
     def area(self) -> float:
@@ -50,12 +48,7 @@ class Detection:
 
     def __post_init__(self):
         object.__setattr__(self, "confidence", float(self.confidence))
-        if self.class_id < 0:
-            raise DataError(f"negative class_id {self.class_id}")
-        if not self.class_name:
-            raise DataError("empty class_name")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise DataError(f"confidence {self.confidence} outside [0, 1]")
+        _check_fields([self.class_id], [self.class_name], [self.confidence])
 
 
 @dataclass(frozen=True)
@@ -146,8 +139,9 @@ def _columns(detections: Sequence[Detection]) -> Columns:
 
 
 def _records(c: Columns) -> tuple[Detection, ...]:
-    """The Detection records of columns that carry class ids and confidences."""
-    rows = zip(c.class_ids, c.class_names, c.confidence.tolist(), c.boxes.tolist())
+    """The Detection records of columns that carry confidences; class ids default to 0."""
+    class_ids = [0] * len(c.class_names) if c.class_ids is None else c.class_ids
+    rows = zip(class_ids, c.class_names, c.confidence.tolist(), c.boxes.tolist())
     return tuple(Detection(i, name, conf, BoundingBox(*box)) for i, name, conf, box in rows)
 
 
@@ -172,14 +166,24 @@ def _check_column(ok: np.ndarray, values, message: str) -> None:
         raise DataError(message.format(values[np.unravel_index(ok.argmin(), ok.shape)[0]]))
 
 
-def _names_and_confidence(objects: list) -> tuple[list[str], np.ndarray]:
-    """The class names, none empty, and the confidences in [0, 1] of decoded objects."""
-    names = [str(o["class_name"]) for o in objects]
-    if "" in names:
+def _check_fields(class_ids, names: Iterable, confidences: Iterable) -> tuple[list, np.ndarray]:
+    """Check the Detection rules field by field (no ids if None); lazy fields are read when due."""
+    if class_ids and min(class_ids) < 0:
+        raise DataError(f"negative class_id {min(class_ids)}")
+    names = list(names)
+    if not all(names):
         raise DataError("empty class_name")
-    conf = _floats([o["confidence"] for o in objects])
+    conf = _floats(list(confidences))
     _check_column((conf >= 0.0) & (conf <= 1.0), conf, "confidence {} outside [0, 1]")
     return names, conf
+
+
+def _check_thresholds(min_conf=DEFAULT_MIN_CONFIDENCE, iou_threshold=DEFAULT_IOU_THRESHOLD) -> None:
+    """Reject a min_conf outside [0, 1] or an iou_threshold outside (0, 1); a default passes."""
+    if not 0.0 <= min_conf <= 1.0:
+        raise DataError(f"min_conf {min_conf} outside [0, 1]")
+    if not 0.0 < iou_threshold < 1.0:
+        raise DataError(f"iou_threshold {iou_threshold} outside (0, 1)")
 
 
 def _coord_array(raws: list) -> np.ndarray:
@@ -194,7 +198,7 @@ def _bbox_array(raws: list) -> np.ndarray:
     """Decode `[x0, y0, x1, y1]` lists into an (n, 4) float64 array; the BoundingBox rule holds."""
     boxes = _coord_array(raws)
     near, far = boxes[:, :2], boxes[:, 2:]
-    ok = (near >= 0.0) & (near < far) & (far < math.inf)
+    ok = (near >= 0.0) & (near < far) & (far < math.inf)  # no NaN passes a comparison
     _check_column(ok, raws, "non-finite, negative, inverted or empty bbox {!r}")
     return boxes
 
@@ -205,9 +209,8 @@ def parse_detections(data: bytes | str) -> DetectionSet:
         image, width, height = str(doc["image"]), int(doc["width"]), int(doc["height"])
         dets = doc["detections"]
         class_ids = [int(d["class_id"]) for d in dets]
-        if class_ids and min(class_ids) < 0:
-            raise DataError(f"negative class_id {min(class_ids)}")
-        names, conf = _names_and_confidence(dets)
+        names = (str(d["class_name"]) for d in dets)  # read lazily, in rule order
+        names, conf = _check_fields(class_ids, names, (d["confidence"] for d in dets))
         raws = [d["bbox"] for d in dets]
         boxes = _coord_array(raws)
         _check_column(~(boxes[:, :2] >= boxes[:, 2:]), raws, "inverted bbox {}")
@@ -242,7 +245,7 @@ def serialize_detections(ds: DetectionSet) -> bytes:
 def _box_array(boxes: Iterable[BoundingBox | None]) -> np.ndarray:
     """The (n, 4) float64 array of x0, y0, x1, y1 rows that `iou` takes; None gives a NaN row."""
     return np.array(
-        [(math.nan,) * 4 if b is None else (b.x0, b.y0, b.x1, b.y1) for b in boxes],
+        [(math.nan,) * 4 if b is None else _bbox_list(b) for b in boxes],
         dtype=np.float64,
     ).reshape(-1, 4)
 
@@ -272,8 +275,7 @@ def iou(
 
 def filter_confidence(ds: DetectionSet, min_conf: float) -> DetectionSet:
     """Keep detections with confidence >= min_conf, order preserved."""
-    if not 0.0 <= min_conf <= 1.0:
-        raise DataError(f"min_conf {min_conf} outside [0, 1]")
+    _check_thresholds(min_conf=min_conf)
     return ds.take(np.flatnonzero(ds.columns.confidence >= min_conf))
 
 
@@ -283,8 +285,7 @@ def nms(ds: DetectionSet, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> Detec
     Boxes of different classes never suppress each other. Output is sorted by
     descending confidence; ties broken by original input index.
     """
-    if not 0.0 < iou_threshold < 1.0:
-        raise DataError(f"iou_threshold {iou_threshold} outside (0, 1)")
+    _check_thresholds(iou_threshold=iou_threshold)
     dets = ds.columns
     order = np.argsort(-dets.confidence, kind="stable")
     by_class: dict[int, list[int]] = {}

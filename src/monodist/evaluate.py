@@ -10,7 +10,7 @@ import numpy as np
 from .codec import _decode, _dump
 from .detect import BoundingBox, _bbox_array, _bbox_list, _box_array, _check_column, _floats, iou
 from .errors import DataError, DetectionFormatError
-from .roi import Columns, ObjectDistance, decode_distances
+from .roi import Columns, ObjectDistance, _distance_columns, decode_distances
 
 MATCH_IOU_THRESHOLD = 0.5
 DEFAULT_ACCURACY_THRESHOLD_M = 0.2
@@ -24,8 +24,7 @@ class GroundTruthObject:
 
     def __post_init__(self):
         object.__setattr__(self, "abs_distance", float(self.abs_distance))
-        if not (self.abs_distance > 0 and math.isfinite(self.abs_distance)):
-            raise DataError(f"ground-truth distance must be positive, got {self.abs_distance}")
+        _check_truths(np.array([self.abs_distance]))
 
 
 @dataclass(frozen=True)
@@ -62,13 +61,9 @@ def match_objects(
     preds: list[ObjectDistance], gts: list[GroundTruthObject]
 ) -> tuple[list[MatchedPair], int, int]:
     """`match_columns` on prediction and ground-truth records."""
-    p_boxes = _box_array(od.detection.bbox for od in preds)
-    p_dist = np.array([predicted_distance(od) for od in preds])
-    g_dist = np.array([gt.abs_distance for gt in gts])
-    return match_columns(
-        Columns([od.detection.class_name for od in preds], p_boxes, p_dist),
-        Columns([gt.class_name for gt in gts], _box_array(gt.bbox for gt in gts), g_dist),
-    )
+    truths = Columns([gt.class_name for gt in gts], _box_array(gt.bbox for gt in gts))
+    distances = np.array([gt.abs_distance for gt in gts])
+    return match_columns(_distance_columns(preds), truths._replace(distances=distances))
 
 
 def match_columns(p: Columns, g: Columns) -> tuple[list[MatchedPair], int, int]:
@@ -121,17 +116,12 @@ def rmse(pairs: list[MatchedPair]) -> float:
     return math.sqrt(sum(p.error**2 for p in pairs) / len(pairs))
 
 
-def _check_threshold(t: float) -> None:
-    """Reject an accuracy threshold that is not a positive finite distance."""
-    if not (t > 0 and math.isfinite(t)):
-        raise DataError(f"threshold must be a positive finite distance, got {t}")
-
-
 def threshold_accuracy(pairs: list[MatchedPair], t: float) -> float:
     """Fraction of pairs with error strictly below t."""
     if not pairs:
         raise DataError("accuracy of an empty pair list is undefined")
-    _check_threshold(t)
+    if not (t > 0 and math.isfinite(t)):
+        raise DataError(f"threshold must be a positive finite distance, got {t}")
     return sum(1 for p in pairs if p.error < t) / len(pairs)
 
 
@@ -183,14 +173,19 @@ def _concat(parts: list[Columns]) -> Columns:
     return Columns([c for n in names for c in n], np.concatenate(boxes), np.concatenate(distances))
 
 
+def _check_truths(distances: np.ndarray) -> None:
+    """The GroundTruthObject rule: every distance of a float64 column is positive and finite."""
+    ok = (distances > 0.0) & (distances < math.inf)
+    _check_column(ok, distances, "ground-truth distance must be positive, got {}")
+
+
 def decode_ground_truth(data: bytes | str) -> tuple[str, Columns]:
     """Decode `.gt.json` into columns; bbox is optional per object."""
     with _decode(data, DetectionFormatError, "ground-truth") as doc:
         image, objects = str(doc["image"]), doc["objects"]
         names = [str(o["class_name"]) for o in objects]
         distances = _floats([o["abs_m"] for o in objects])
-        ok = (distances > 0.0) & (distances < math.inf)
-        _check_column(ok, distances, "ground-truth distance must be positive, got {}")
+        _check_truths(distances)
         raw = [o.get("bbox") for o in objects]
         boxes = np.full((len(raw), 4), math.nan)
         boxes[[b is not None for b in raw]] = _bbox_array([b for b in raw if b is not None])

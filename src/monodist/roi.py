@@ -9,7 +9,7 @@ import numpy as np
 from .codec import _decode, _dump
 from .detect import (
     BoundingBox, Columns, Detection, DetectionSet, _bbox_array, _bbox_list, _box_array,
-    _check_column, _columns, _floats, _names_and_confidence, _records,
+    _check_column, _check_fields, _columns, _floats, _records,
 )
 from .errors import DataError, DegenerateRoiError, DetectionFormatError
 from .maps import DepthRange, MapKind, ScalarMap, disparity_to_depth_value
@@ -43,10 +43,7 @@ class ObjectDistance:
         object.__setattr__(self, "rev", float(self.rev))
         if self.abs is not None:
             object.__setattr__(self, "abs", float(self.abs))
-        if not (self.rev > 0 and math.isfinite(self.rev)):
-            raise DataError(f"rev must be a positive finite distance, got {self.rev}")
-        if self.abs is not None and not math.isfinite(self.abs):
-            raise DataError(f"abs must be finite, got {self.abs}")
+        _check_distances(np.array([self.rev]), None if self.abs is None else np.array([self.abs]))
 
 
 @dataclass(frozen=True)
@@ -58,6 +55,14 @@ class RoiFailure:
 
 
 _EMPTY_RECT = "bbox {} projects to empty rect on a {}x{} grid"
+
+
+def _check_distances(rev: np.ndarray, abs_m: np.ndarray | None = None) -> None:
+    """The ObjectDistance rules on float64 columns: REV positive and finite, then ABS finite."""
+    ok = (rev > 0.0) & (rev < math.inf)
+    _check_column(ok, rev, "rev must be a positive finite distance, got {}")
+    if abs_m is not None:
+        _check_column(np.isfinite(abs_m), abs_m, "abs must be finite, got {}")
 
 
 def project_bbox(
@@ -159,8 +164,7 @@ def measure_columns(
     failures = [RoiFailure(d, reason) for d, reason in zip(failing, failed.values())]
     measured = np.flatnonzero(~np.isnan(rev))
     rev = rev[measured]
-    ok = (rev > 0.0) & (rev < math.inf)
-    _check_column(ok, rev, "rev must be a positive finite distance, got {}")
+    _check_distances(rev)
     calibrated = np.zeros(len(rev), dtype=bool)
     objects = dets.take(measured).columns
     return objects._replace(distances=rev, rev=rev, calibrated=calibrated), failures
@@ -171,19 +175,29 @@ def measure_objects(
 ) -> tuple[list[ObjectDistance], list[RoiFailure]]:
     """`measure_columns` as records."""
     objects, failures = measure_columns(depth, dets, depth_range)
-    return [ObjectDistance(d, r) for d, r in zip(_records(objects), objects.rev.tolist())], failures
+    return _distance_records(objects), failures
+
+
+def _distance_columns(objects: list[ObjectDistance]) -> Columns:
+    """The measured columns of ObjectDistance records, the inverse of `_distance_records`."""
+    rev = np.array([od.rev for od in objects], dtype=np.float64)
+    calibrated = np.array([od.abs is not None for od in objects], dtype=bool)
+    distances = np.array([od.rev if od.abs is None else od.abs for od in objects], np.float64)
+    columns = _columns([od.detection for od in objects])
+    return columns._replace(distances=distances, rev=rev, calibrated=calibrated)
+
+
+def _distance_records(c: Columns) -> list[ObjectDistance]:
+    """The ObjectDistance records of measured columns; ABS is None where not calibrated."""
+    rows = zip(_records(c), c.rev.tolist(), c.distances.tolist(), c.calibrated.tolist())
+    return [ObjectDistance(d, rev, dist if cal else None) for d, rev, dist, cal in rows]
 
 
 def serialize_distances(
     image_id: str, objects: list[ObjectDistance], failures: list[RoiFailure] | None = None
 ) -> bytes:
     """Canonical `.dist.json` form."""
-    rev = np.array([od.rev for od in objects], dtype=np.float64)
-    calibrated = np.array([od.abs is not None for od in objects], dtype=bool)
-    distances = np.array([od.rev if od.abs is None else od.abs for od in objects], np.float64)
-    columns = _columns([od.detection for od in objects])
-    columns = columns._replace(distances=distances, rev=rev, calibrated=calibrated)
-    return encode_distances(image_id, columns, failures)
+    return encode_distances(image_id, _distance_columns(objects), failures)
 
 
 def encode_distances(
@@ -213,15 +227,15 @@ def decode_distances(data: bytes | str) -> tuple[str, Columns]:
     """Decode `.dist.json` into columns; each field is validated as a whole column."""
     with _decode(data, DetectionFormatError, "distances") as doc:
         image, objects = str(doc["image"]), doc["objects"]
-        names, conf = _names_and_confidence(objects)
+        names = (str(o["class_name"]) for o in objects)  # read lazily, in rule order
+        names, conf = _check_fields(None, names, (o["confidence"] for o in objects))
         boxes = _bbox_array([o["bbox"] for o in objects])
         rev = _floats([o["rev_m"] for o in objects])
-        ok = (rev > 0.0) & (rev < math.inf)
-        _check_column(ok, rev, "rev must be a positive finite distance, got {}")
+        _check_distances(rev)  # before the ABS fields are read, so that a bad REV is named first
         abs_m = [o["abs_m"] for o in objects]
         calibrated = np.array([a is not None for a in abs_m], dtype=bool)
         abs_ = _floats([a if a is not None else 0.0 for a in abs_m])
-        _check_column(np.isfinite(abs_), abs_, "abs must be finite, got {}")
+        _check_distances(rev, abs_)
         return image, Columns(names, boxes, np.where(calibrated, abs_, rev), conf, rev, calibrated)
 
 
@@ -231,9 +245,5 @@ def parse_distances(data: bytes | str) -> tuple[str, list[ObjectDistance]]:
     The file does not carry class ids, so reconstructed detections use
     class_id 0; evaluation matches on class_name only.
     """
-    image, d = decode_distances(data)
-    columns = (d.confidence, d.boxes, d.rev, d.distances, d.calibrated)
-    return image, [
-        ObjectDistance(Detection(0, name, conf, BoundingBox(*box)), rev, dist if cal else None)
-        for name, conf, box, rev, dist, cal in zip(d.class_names, *(c.tolist() for c in columns))
-    ]
+    image, columns = decode_distances(data)
+    return image, _distance_records(columns)

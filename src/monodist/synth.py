@@ -6,16 +6,16 @@ checked analytically.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codec import _decode, _dump
-from .detect import BoundingBox, Detection, DetectionSet, _bbox_coords, _bbox_list
+from .detect import BoundingBox, Detection, DetectionSet, _bbox_coords, _bbox_list, _box_array
 from .errors import SceneError
 from .evaluate import GroundTruthObject
 from .maps import DepthRange, MapKind, ScalarMap, depth_to_disparity_value
+from .roi import _project
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,12 @@ def render_scene(
     PFM interchange precision. Detections carry confidence 1.0.
     """
     depth = np.full((spec.map_height, spec.map_width), spec.background_depth, dtype=np.float64)
-    # nearer objects painted last so they overwrite farther ones
-    for obj in sorted(spec.objects, key=lambda o: -o.depth):
-        c0 = int(math.floor(obj.bbox.x0))
-        r0 = int(math.floor(obj.bbox.y0))
-        c1 = int(math.ceil(obj.bbox.x1))
-        r1 = int(math.ceil(obj.bbox.y1))
-        depth[r0:r1, c0:c1] = obj.depth
+    dims = (spec.map_width, spec.map_height)
+    # nearer objects painted last so they overwrite farther ones, on the cells that pooling reads
+    objects = sorted(spec.objects, key=lambda o: -o.depth)
+    rects = _project(_box_array(o.bbox for o in objects), dims, dims).tolist()
+    for obj, (col0, row0, col1, row1) in zip(objects, rects):
+        depth[row0:row1, col0:col1] = obj.depth
 
     disparity = depth_to_disparity_value(depth, spec.depth_range)
     if spec.noise_amplitude > 0:

@@ -543,3 +543,38 @@ def test_fetch_reads_only_inside_its_directory_and_quotes_nothing(tmp_path_facto
     if commands:
         # the id reached a shell: it must be one plain word, and not an option
         assert shlex.quote(image_id) == image_id and not image_id.startswith("-")
+
+
+def run_cli_process(tmp_path, argv):
+    """`monodist ARGV` in a child interpreter, so that stderr holds whatever the process prints."""
+    return subprocess.run(
+        [sys.executable, "-m", "monodist.cli", *argv], cwd=tmp_path, env=checkout_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_synth_of_a_scene_too_large_for_memory_exit_2(tmp_path):
+    # 1e8 x 1e8 float64 is 71 PiB, beyond any address space, so no page is ever touched
+    doc = {"map_width": 10**8, "map_height": 10**8, "background_depth_m": 50.0}
+    (tmp_path / "huge.scene.json").write_text(json.dumps(doc))
+    proc = run_cli_process(tmp_path, ["synth", "--scene", "huge.scene.json", "--out-prefix", "o/x"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "monodist synth:" in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.scene.json"]
+
+
+@pytest.mark.parametrize(
+    "rows, height",
+    [
+        ("1e300,5\n2e300,6\n3e300,7\n", "1"),  # x**2 overflows
+        ("1,5\n2,6\n3,7\n", "1e-320"),  # y_abs / h overflows
+    ],
+)
+def test_calibrate_overflow_exit_2_without_numpy_warnings(tmp_path, rows, height):
+    (tmp_path / "s.csv").write_text("x_m,y_abs_m\n" + rows)
+    argv = ["calibrate", "--samples", "s.csv", "--camera-height", height, "--out", "m.json"]
+    proc = run_cli_process(tmp_path, argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("monodist calibrate:") and "overflow" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "m.json").exists()
