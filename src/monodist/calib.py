@@ -42,26 +42,31 @@ class CalibrationModel:
     def __post_init__(self):
         for name in ("c0", "c1", "c2", "h", "fit_rmse"):
             value = float(getattr(self, name))
-            if not math.isfinite(value):
+            if name == "h":
+                _check_height(value)
+            elif not math.isfinite(value):
                 raise CalibrationError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
-        if self.h <= 0:
-            raise CalibrationError(f"camera height must be positive, got {self.h}")
         if self.fit_rmse < 0:
             raise CalibrationError(f"fit_rmse must be non-negative, got {self.fit_rmse}")
         if self.n_samples and self.n_samples < 3:
             raise CalibrationError(f"fitted model needs >= 3 samples, got {self.n_samples}")
 
 
+def _check_height(h: float) -> None:
+    """The camera-height rule: positive and finite."""
+    if not (h > 0 and math.isfinite(h)):
+        raise CalibrationError(f"camera height must be positive finite, got {h}")
+
+
 def fit_quadratic(samples: list[CalibrationSample], h: float) -> CalibrationModel:
     """Least-squares fit of (c0, c1, c2) minimizing sum((h*(c0+c1*x+c2*x^2) - y)^2).
 
-    Solved through the normal equations of the Vandermonde system on targets
-    y/h, with column mean/std normalization to keep the 3x3 system well
-    conditioned for large x.
+    Solved by `np.linalg.lstsq` on the Vandermonde system with targets y/h,
+    each column divided by its largest magnitude so that the system stays
+    well conditioned for large x.
     """
-    if not (h > 0 and math.isfinite(h)):
-        raise CalibrationError(f"camera height must be positive finite, got {h}")
+    _check_height(h)
     xs = np.array([s.x for s in samples], dtype=np.float64)
     ys = np.array([s.y_abs for s in samples], dtype=np.float64)
     if len(np.unique(xs)) < 3:
@@ -72,23 +77,15 @@ def fit_quadratic(samples: list[CalibrationSample], h: float) -> CalibrationMode
     with np.errstate(all="ignore"):  # a value beyond float64 is reported below instead
         targets = ys / h
         vand = np.vander(xs, 3, increasing=True)  # columns [1, x, x^2]
-        mu = vand[:, 1:].mean(axis=0)
-        sd = vand[:, 1:].std(axis=0)
-        sd[sd == 0.0] = 1.0
-        design = vand.copy()
-        design[:, 1:] = (vand[:, 1:] - mu) / sd
-
-        gram = design.T @ design
-        finite = np.isfinite(gram).all()  # else LAPACK may call an overflowed system singular
-        try:
-            beta = np.linalg.solve(gram, design.T @ targets) if finite else np.full(3, math.nan)
-        except np.linalg.LinAlgError:
-            raise CalibrationError("singular normal equations; x values too degenerate") from None
-
-        coeffs = np.empty(3)
-        coeffs[1:] = beta[1:] / sd
-        coeffs[0] = beta[0] - float(np.sum(beta[1:] * mu / sd))
-
+        scale = np.abs(vand).max(axis=0)  # not the 2-norm, whose square overflows sooner
+        scale[scale == 0.0] = 1.0  # an x^2 column that underflows to 0 leaves the rank short
+        design = vand / scale
+        beta, rank = math.nan, 3
+        if np.isfinite(design).all() and np.isfinite(targets).all():  # no inf into LAPACK
+            beta, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
+        if rank < 3:
+            raise CalibrationError("x values too close together for a quadratic fit")
+        coeffs = beta / scale
         residuals = h * (vand @ coeffs) - ys
         fit_rmse = float(np.sqrt(np.mean(residuals**2)))
     if not np.isfinite([*coeffs, fit_rmse]).all():

@@ -53,7 +53,7 @@ class Detection:
 
 @dataclass(frozen=True)
 class DetectionSet:
-    """All detections for one image, in detector output order; records, or those of columns."""
+    """One image's detections, in detector order, as columns; records are built when read."""
 
     image_id: str
     image_width: int
@@ -66,12 +66,11 @@ class DetectionSet:
                 f"image dimensions must be positive, got {self.image_width}x{self.image_height}"
             )
         if not isinstance(self.detections, _Rows):
-            object.__setattr__(self, "detections", tuple(self.detections))
+            object.__setattr__(self, "detections", _Rows(_columns(tuple(self.detections))))
 
     @property
     def columns(self) -> Columns:
-        d = self.detections
-        return d.columns if isinstance(d, _Rows) else _columns(d)
+        return self.detections.columns
 
     def take(self, rows: np.ndarray) -> DetectionSet:
         """The detections at the integer `rows`, in that order."""
@@ -226,20 +225,13 @@ def parse_detections(data: bytes | str) -> DetectionSet:
 
 def serialize_detections(ds: DetectionSet) -> bytes:
     """Canonical `.det.json` form: fixed field order, shortest float repr."""
-    return _dump({
-        "image": ds.image_id,
-        "width": ds.image_width,
-        "height": ds.image_height,
-        "detections": [
-            {
-                "class_id": d.class_id,
-                "class_name": d.class_name,
-                "confidence": d.confidence,
-                "bbox": _bbox_list(d.bbox),
-            }
-            for d in ds.detections
-        ],
-    })
+    c = ds.columns
+    rows = zip(c.class_ids, c.class_names, c.confidence.tolist(), c.boxes.tolist())
+    doc = {"image": ds.image_id, "width": ds.image_width, "height": ds.image_height}
+    return _dump({**doc, "detections": [
+        {"class_id": i, "class_name": name, "confidence": conf, "bbox": box}
+        for i, name, conf, box in rows
+    ]})
 
 
 def _box_array(boxes: Iterable[BoundingBox | None]) -> np.ndarray:

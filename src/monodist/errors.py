@@ -26,7 +26,7 @@ class DegenerateRoiError(DataError):
 
 
 class CalibrationError(DataError):
-    """Calibration fit or model file is unusable (singular system, bad h)."""
+    """Calibration fit or model file is unusable (degenerate samples, overflow, bad h)."""
 
 
 class SceneError(DataError):

@@ -72,7 +72,8 @@ def project_bbox(
 ) -> IndexRect:
     """Map an image-space box to depth-grid indices.
 
-    Coordinates are scaled by map_dim/image_dim, the near corner floored and
+    Coordinates are multiplied by map_dim, then divided by image_dim, so an
+    integer edge on a grid line stays on it. The near corner is floored and
     the far corner ceiled so that a box thinner than a cell still covers one,
     then clamped to the grid. A rect left empty raises DegenerateRoiError.
     """
@@ -88,7 +89,7 @@ def _project(boxes: np.ndarray, image_dims: tuple[int, int], map_dims: tuple[int
     mw, mh = map_dims
     if iw <= 0 or ih <= 0 or mw <= 0 or mh <= 0:
         raise DataError("image and map dimensions must be positive")
-    scaled = boxes * np.array([mw / iw, mh / ih] * 2)
+    scaled = boxes * np.array([mw, mh] * 2) / np.array([iw, ih] * 2)
     rects = np.hstack([np.floor(scaled[:, :2]), np.ceil(scaled[:, 2:])])
     # a near corner clamped to the far edge still makes an empty rect
     return np.clip(rects, 0.0, np.array([mw, mh] * 2, dtype=np.float64)).astype(np.int64)

@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import _decode, _dump
-from .detect import BoundingBox, Detection, DetectionSet, _bbox_coords, _bbox_list, _box_array
+from .detect import (
+    BoundingBox, Columns, DetectionSet, _bbox_coords, _bbox_list, _box_array, _check_fields, _Rows,
+)
 from .errors import SceneError
 from .evaluate import GroundTruthObject
 from .maps import DepthRange, MapKind, ScalarMap, depth_to_disparity_value
@@ -88,15 +90,11 @@ def render_scene(
     disp_map = ScalarMap(
         width=spec.map_width, height=spec.map_height, kind=MapKind.DISPARITY, values=disparity
     )
-    detections = DetectionSet(
-        image_id="synthetic",
-        image_width=spec.map_width,
-        image_height=spec.map_height,
-        detections=tuple(
-            Detection(class_id=i, class_name=o.class_name, confidence=1.0, bbox=o.bbox)
-            for i, o in enumerate(spec.objects)
-        ),
-    )
+    ids = list(range(len(spec.objects)))
+    names, conf = _check_fields(ids, [o.class_name for o in spec.objects], [1.0] * len(ids))
+    boxes = _box_array(o.bbox for o in spec.objects)
+    columns = Columns(names, boxes, confidence=conf, class_ids=ids)
+    detections = DetectionSet("synthetic", spec.map_width, spec.map_height, _Rows(columns))
     gts = [
         GroundTruthObject(class_name=o.class_name, abs_distance=o.depth, bbox=o.bbox)
         for o in spec.objects

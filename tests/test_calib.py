@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -18,6 +20,23 @@ from monodist.errors import CalibrationError
 
 def samples_from_poly(c0, c1, c2, h, xs):
     return [CalibrationSample(x=x, y_abs=h * (c0 + c1 * x + c2 * x * x)) for x in xs]
+
+
+def exact_fit(xs, ys, h):
+    """The exact least-squares (c0, c1, c2) of float samples, from the normal equations."""
+    xs = [Fraction(x) for x in xs]
+    targets = [Fraction(y) / Fraction(h) for y in ys]
+    rows = [
+        [sum(x ** (i + j) for x in xs) for j in range(3)]
+        + [sum(x**i * t for x, t in zip(xs, targets))]
+        for i in range(3)
+    ]
+    for i in range(3):  # Gauss-Jordan elimination; the Gram matrix of 3 distinct x is regular
+        rows[i] = [v / rows[i][i] for v in rows[i]]
+        for r in range(3):
+            if r != i:
+                rows[r] = [v - rows[r][i] * w for v, w in zip(rows[r], rows[i])]
+    return [row[3] for row in rows]
 
 
 def reference_model():
@@ -43,6 +62,25 @@ class TestFitQuadratic:
         ref, *_ = np.linalg.lstsq(vand, ys / 1.3, rcond=None)
         assert (model.c0, model.c1, model.c2) == pytest.approx(tuple(ref), rel=1e-8)
 
+    @pytest.mark.parametrize("x_max", [45, 1e6, 1e50])
+    def test_matches_exact_solution(self, x_max):
+        rng = np.random.default_rng(12)
+        for _ in range(8):
+            n = int(rng.integers(3, 13))
+            xs, ys = rng.uniform(0, x_max, n).tolist(), rng.uniform(1, 60, n).tolist()
+            h = float(rng.uniform(0.5, 3))
+            model = fit_quadratic([CalibrationSample(x, y) for x, y in zip(xs, ys)], h=h)
+            for got, want in zip((model.c0, model.c1, model.c2), exact_fit(xs, ys, h)):
+                assert abs(Fraction(got) - want) <= abs(want) * Fraction(1, 10**10)
+
+    def test_exact_quadratic_at_x_near_1e100(self):
+        xs = [1e100, 2e100, 3e100, 4e100]
+        ys = [1.0 + 1e-100 * x + 1e-200 * x * x for x in xs]
+        model = fit_quadratic([CalibrationSample(x, y) for x, y in zip(xs, ys)], h=1.0)
+        for got, want in zip((model.c0, model.c1, model.c2), exact_fit(xs, ys, 1.0)):
+            assert abs(Fraction(got) - want) <= abs(want) * Fraction(1, 10**10)
+        assert model.fit_rmse <= 1e-12
+
     def test_recovers_reference_curve(self):
         xs = list(range(0, 50, 5))
         c0, c1, c2 = REFERENCE_COEFFS
@@ -60,6 +98,14 @@ class TestFitQuadratic:
     def test_repeated_x_singular(self):
         samples = [CalibrationSample(1, 2), CalibrationSample(1, 3), CalibrationSample(2, 4)]
         with pytest.raises(CalibrationError):
+            fit_quadratic(samples, h=1)
+
+    @pytest.mark.parametrize(
+        "xs", [[1e16, 1e16 + 2, 1e16 + 4], [1, 1 + 2**-40, 1 + 2**-39], [0, 1e-200, 2e-200]]
+    )
+    def test_x_too_close_together(self, xs):
+        samples = [CalibrationSample(x, y) for x, y in zip(xs, [1, 2, 4])]
+        with pytest.raises(CalibrationError, match="too close together"):
             fit_quadratic(samples, h=1)
 
     def test_non_positive_height(self):

@@ -390,14 +390,14 @@ def reference_predict(det_bytes, depth, model):
     ds = replace(ds, detections=tuple(d for d in ds.detections if d.confidence >= MIN_CONF))
     ds = reference_nms(ds, IOU)
     mw, mh = depth.width, depth.height
-    sx, sy = mw / ds.image_width, mh / ds.image_height
+    iw, ih = ds.image_width, ds.image_height
     values = depth.values.astype(np.float64)
     holes = depth.kind is MapKind.DEPTH and values.min() <= 0
     objects, failures = [], []
     for det in ds.detections:
         b = det.bbox
-        col0, row0 = max(0, math.floor(b.x0 * sx)), max(0, math.floor(b.y0 * sy))
-        col1, row1 = min(mw, math.ceil(b.x1 * sx)), min(mh, math.ceil(b.y1 * sy))
+        col0, row0 = max(0, math.floor(b.x0 * mw / iw)), max(0, math.floor(b.y0 * mh / ih))
+        col1, row1 = min(mw, math.ceil(b.x1 * mw / iw)), min(mh, math.ceil(b.y1 * mh / ih))
         if col0 >= col1 or row0 >= row1:
             reason = f"bbox {b} projects to empty rect on a {mw}x{mh} grid"
             failures.append(roi.RoiFailure(det, reason))

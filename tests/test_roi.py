@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from monodist.detect import BoundingBox, Detection, DetectionSet
@@ -55,6 +55,29 @@ class TestProjectBbox:
         # same image/map ratio -> same rect (coords scale together)
         assert (r1.col1 - r1.col0) > 0
         assert r2 == r1
+
+    @pytest.mark.parametrize(
+        "box, image_width, map_width, col0, col1",
+        [((7, 0, 10, 1), 14, 122, 61, 88), ((2, 0, 7, 1), 14, 58, 8, 29)],
+    )
+    def test_edge_on_a_grid_line_stays_on_it(self, box, image_width, map_width, col0, col1):
+        r = project_bbox(BoundingBox(*box), (image_width, 1), (map_width, 1))
+        assert (r.col0, r.col1) == (col0, col1)
+
+    dims = st.tuples(st.integers(1, 119), st.integers(1, 119))
+    unit = st.floats(0, 1)
+
+    # box [0, 0, 1, 1] in a 2x1 image on a 58x1 grid: col1 was 29, and 30 at k = 7
+    @example((2, 1), (58, 1), (0.0, 0.0, 0.0, 0.0), 7)
+    @given(dims, dims, st.tuples(unit, unit, unit, unit), st.sampled_from([2, 3, 7]))
+    def test_integer_box_scaled_with_its_image_keeps_its_rect(self, image, grid, fractions, k):
+        # an integer box inside the image, its corners placed by the drawn fractions
+        (iw, ih), (fx0, fy0, fx1, fy1) = image, fractions
+        x0, y0 = int(fx0 * (iw - 1)), int(fy0 * (ih - 1))
+        x1, y1 = x0 + 1 + int(fx1 * (iw - 1 - x0)), y0 + 1 + int(fy1 * (ih - 1 - y0))
+        r1 = project_bbox(BoundingBox(x0, y0, x1, y1), (iw, ih), grid)
+        rk = project_bbox(BoundingBox(x0 * k, y0 * k, x1 * k, y1 * k), (iw * k, ih * k), grid)
+        assert rk == r1
 
 
 class TestMedianDepth:

@@ -7,13 +7,16 @@ Values are drawn from the edges of the rules: NaN, the infinities, -0.0, 0,
 """
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import monodist
 from monodist import cli
+from monodist.calib import CalibrationModel, CalibrationSample, deserialize_model, fit_quadratic
 from monodist.detect import (
     BoundingBox, Detection, DetectionSet, filter_confidence, nms, parse_detections,
 )
@@ -121,3 +124,45 @@ def test_a_record_reports_its_converted_values():
     detection = Detection(0, "car", 1, BoundingBox(1, 2, 3, 4))
     expected = "rev must be a positive finite distance, got 0.0"
     assert outcome(lambda: ObjectDistance(detection, 0)) == expected
+
+
+FIT_OVERFLOW = "fit overflows float64; x, y_abs or camera height too extreme"
+
+
+@given(edge_floats)
+def test_camera_height_agrees_across_model_fit_and_file(h):
+    model = outcome(lambda: CalibrationModel(c0=1.0, c1=2.0, c2=3.0, h=h))
+    samples = [CalibrationSample(x, y) for x, y in ((1.0, 2.0), (2.0, 3.0), (3.0, 5.0))]
+    fit = outcome(lambda: fit_quadratic(samples, h=h))
+    doc = {"c0": 1.0, "c1": 2.0, "c2": 3.0, "h_m": h, "fit_rmse_m": 0.0, "n_samples": 0}
+    decoded = outcome(lambda: deserialize_model(json.dumps(doc)))
+    assert decoded == model
+    if model is None:
+        # a valid height may still carry the fit beyond float64, as 5e-324 does
+        assert fit in (None, FIT_OVERFLOW)
+    else:
+        assert fit == model
+
+
+# the rules of README's "Input rules"; {} stands for a formatted value
+RULE_MESSAGES = [
+    "non-finite, negative, inverted or empty bbox {}",
+    "negative class_id {}",
+    "empty class_name",
+    "confidence {} outside [0, 1]",
+    "rev must be a positive finite distance, got {}",
+    "abs must be finite, got {}",
+    "ground-truth distance must be positive, got {}",
+    "min_conf {} outside [0, 1]",
+    "iou_threshold {} outside (0, 1)",
+    "camera height must be positive",
+]
+
+
+def test_each_rule_message_has_one_home():
+    package = Path(monodist.__file__).parent
+    source = "\n".join(path.read_text() for path in sorted(package.glob("*.py")))
+    for message in RULE_MESSAGES:
+        pattern = r"\{[^}]*\}".join(map(re.escape, message.split("{}")))
+        count = len(re.findall(pattern, source))
+        assert count == 1, f"{message!r} occurs {count} times"
