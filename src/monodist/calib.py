@@ -127,18 +127,17 @@ def deserialize_model(data: bytes | str) -> CalibrationModel:
 
 def read_samples_csv(data: bytes | str) -> list[CalibrationSample]:
     """Read calibration samples from CSV with header `x_m,y_abs_m`."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise CalibrationError(f"samples CSV is not UTF-8: {e}") from None
-    reader = csv.DictReader(io.StringIO(data))
+    try:
+        reader = csv.DictReader(io.StringIO(data.decode() if isinstance(data, bytes) else data))
+        rows = list(reader)  # the header first
+    except (UnicodeDecodeError, csv.Error) as e:  # csv.Error: a field past the module's limit
+        raise CalibrationError(f"malformed samples CSV: {e}") from None
     if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["x_m", "y_abs_m"]:
         raise CalibrationError(
             f"expected CSV header 'x_m,y_abs_m', got {reader.fieldnames}"
         )
     samples = []
-    for i, row in enumerate(reader):
+    for i, row in enumerate(rows):
         try:
             samples.append(CalibrationSample(x=float(row["x_m"]), y_abs=float(row["y_abs_m"])))
         except (TypeError, ValueError) as e:

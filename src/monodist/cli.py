@@ -21,7 +21,7 @@ import numpy as np
 
 from . import calib, detect, evaluate, maps, roi, synth
 from .codec import _decode
-from .errors import BackendError, DataError, MonodistError
+from .errors import BackendError, DataError
 
 CONFIG_ENV_VAR = "MONODIST_CONFIG"
 
@@ -87,12 +87,7 @@ class PipelineConfig:
 def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
     """Build a PipelineConfig from a JSON file; override values win over file values."""
     try:
-        data = path.read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read config {path}: {e}") from None
-
-    try:
-        with _decode(data, DataError, "config") as doc:
+        with _decode(path.read_bytes(), DataError, "config") as doc:
             if overrides:
                 doc.update({k: v for k, v in overrides.items() if v is not None})
             b = doc["backend"]
@@ -127,8 +122,8 @@ def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
                 iou_threshold=float(doc.get("iou_threshold", detect.DEFAULT_IOU_THRESHOLD)),
                 calibration_model=model,
             )
-    except OSError as e:
-        raise DataError(f"cannot read referenced file: {e}") from None
+    except OSError as e:  # the config itself, a backend directory or the calibration model
+        raise DataError(f"cannot read {e.filename}: {e.strerror}") from None
 
 
 def predict_image(
@@ -316,7 +311,7 @@ def dispatch(argv: list[str]) -> int:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except (MonodistError, OSError, MemoryError) as e:
+    except (DataError, OSError, MemoryError) as e:
         print(f"monodist {args.command}: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -65,7 +65,7 @@ def _decode(data: bytes | str, error: type[DataError], what: str) -> Iterator[di
     """
     try:
         doc = json.loads(data)
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError, nesting
         raise error(f"malformed {what} JSON: {e}") from None
     if not isinstance(doc, dict):
         raise error(f"{what} must be a JSON object, got {type(doc).__name__}")

@@ -149,11 +149,6 @@ def _bbox_list(box: BoundingBox) -> list[float]:
     return [box.x0, box.y0, box.x1, box.y1]
 
 
-def _bbox_coords(raw) -> tuple[float, float, float, float]:
-    """Decode a `[x0, y0, x1, y1]` list into four floats; the caller builds the box."""
-    return tuple(_coord_array([raw]).tolist()[0])
-
-
 def _floats(values: list) -> np.ndarray:
     """A float64 column of decoded JSON values, each converted exactly as ``float`` does."""
     return np.fromiter(map(float, values), np.float64, len(values))
@@ -260,8 +255,9 @@ def iou(
     ix = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
     iy = np.minimum(ay1, by1) - np.maximum(ay0, by0)
     # clipping makes a disjoint pair's inter 0.0, so its IoU is 0.0
-    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    overlap = inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
+    with np.errstate(over="ignore", invalid="ignore"):  # an area past float64: IoU 0.0 or NaN
+        inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+        overlap = inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
     return float(overlap[0, 0]) if scalar else overlap
 
 

@@ -5,11 +5,7 @@ map it to a single exit code.
 """
 
 
-class MonodistError(Exception):
-    pass
-
-
-class DataError(MonodistError):
+class DataError(Exception):
     """Invalid or malformed input data (files, values, configs)."""
 
 

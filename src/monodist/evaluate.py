@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -32,14 +32,12 @@ class MatchedPair:
     class_name: str
     predicted: float
     truth: float
+    error: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "predicted", float(self.predicted))
         object.__setattr__(self, "truth", float(self.truth))
-
-    @property
-    def error(self) -> float:
-        return abs(self.predicted - self.truth)
+        object.__setattr__(self, "error", abs(self.predicted - self.truth))
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,10 @@ def match_columns(p: Columns, g: Columns) -> tuple[list[MatchedPair], int, int]:
 def rmse(pairs: list[MatchedPair]) -> float:
     if not pairs:
         raise DataError("rmse of an empty pair list is undefined")
-    return math.sqrt(sum(p.error**2 for p in pairs) / len(pairs))
+    try:
+        return math.sqrt(sum(p.error**2 for p in pairs) / len(pairs))
+    except OverflowError:  # an error past about 1e154 squares beyond float64
+        raise DataError("rmse overflows float64; distances too large") from None
 
 
 def threshold_accuracy(pairs: list[MatchedPair], t: float) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .codec import _decode, _dump
 from .detect import (
-    BoundingBox, Columns, DetectionSet, _bbox_coords, _bbox_list, _box_array, _check_fields, _Rows,
+    BoundingBox, Columns, DetectionSet, _bbox_list, _box_array, _check_fields, _coord_array, _Rows,
 )
 from .errors import SceneError
 from .evaluate import GroundTruthObject
@@ -71,12 +71,17 @@ def render_scene(
     the nearer object wins. Disparity is quantized to float32 to match the
     PFM interchange precision. Detections carry confidence 1.0.
     """
-    depth = np.full((spec.map_height, spec.map_width), spec.background_depth, dtype=np.float64)
+    ids = list(range(len(spec.objects)))
+    names, conf = _check_fields(ids, [o.class_name for o in spec.objects], [1.0] * len(ids))
+    try:
+        depth = np.full((spec.map_height, spec.map_width), spec.background_depth, dtype=np.float64)
+    except ValueError as e:  # a size numpy cannot index, raised before any memory is touched
+        raise SceneError(f"map {spec.map_width}x{spec.map_height} is too large: {e}") from None
     dims = (spec.map_width, spec.map_height)
+    boxes = _box_array(o.bbox for o in spec.objects)
+    placed = zip(spec.objects, _project(boxes, dims, dims).tolist())
     # nearer objects painted last so they overwrite farther ones, on the cells that pooling reads
-    objects = sorted(spec.objects, key=lambda o: -o.depth)
-    rects = _project(_box_array(o.bbox for o in objects), dims, dims).tolist()
-    for obj, (col0, row0, col1, row1) in zip(objects, rects):
+    for obj, (col0, row0, col1, row1) in sorted(placed, key=lambda p: -p[0].depth):
         depth[row0:row1, col0:col1] = obj.depth
 
     disparity = depth_to_disparity_value(depth, spec.depth_range)
@@ -90,9 +95,6 @@ def render_scene(
     disp_map = ScalarMap(
         width=spec.map_width, height=spec.map_height, kind=MapKind.DISPARITY, values=disparity
     )
-    ids = list(range(len(spec.objects)))
-    names, conf = _check_fields(ids, [o.class_name for o in spec.objects], [1.0] * len(ids))
-    boxes = _box_array(o.bbox for o in spec.objects)
     columns = Columns(names, boxes, confidence=conf, class_ids=ids)
     detections = DetectionSet("synthetic", spec.map_width, spec.map_height, _Rows(columns))
     gts = [
@@ -105,13 +107,14 @@ def render_scene(
 def parse_scene(data: bytes | str) -> SceneSpec:
     """Parse the `.scene.json` format."""
     with _decode(data, SceneError, "scene") as doc:
+        raw = doc.get("objects", [])
         objects = tuple(
             SceneObject(
                 class_name=str(o["class_name"]),
                 depth=o["depth_m"],
-                bbox=BoundingBox(*_bbox_coords(o["bbox"])),
+                bbox=BoundingBox(*box),
             )
-            for o in doc.get("objects", [])
+            for o, box in zip(raw, _coord_array([o["bbox"] for o in raw]).tolist())
         )
         return SceneSpec(
             map_width=int(doc["map_width"]),

@@ -8,7 +8,7 @@ from hypothesis import settings
 
 import monodist
 from monodist.codec import _decode
-from monodist.detect import BoundingBox, Detection, DetectionSet, _bbox_coords
+from monodist.detect import BoundingBox, Detection, DetectionSet, _coord_array
 from monodist.errors import DataError, DetectionFormatError
 from monodist.evaluate import GroundTruthObject, MatchedPair
 from monodist.roi import ObjectDistance
@@ -68,7 +68,7 @@ def reference_nms(ds, iou_threshold):
 
 def reference_bbox(raw):
     """The per-box decode and checks of a `[x0, y0, x1, y1]` list, one rule at a time."""
-    coords = _bbox_coords(raw)
+    coords = tuple(_coord_array([raw]).tolist()[0])
     if not all(c == c and abs(c) != float("inf") for c in coords):
         raise DataError(f"non-finite bbox {coords}")
     if min(coords) < 0:
@@ -81,7 +81,7 @@ def reference_bbox(raw):
 
 def reference_clamp_bbox(raw, width, height):
     """The per-box decode and clamp of a `.det.json` bbox, one rule at a time."""
-    x0, y0, x1, y1 = _bbox_coords(raw)
+    x0, y0, x1, y1 = _coord_array([raw]).tolist()[0]
     if x0 >= x1 or y0 >= y1:
         raise DataError(f"inverted bbox {raw}")
     x0 = min(max(x0, 0.0), float(width))

@@ -456,6 +456,14 @@ class TestAnnotate:
         dist.write_text(json.dumps({"image": "img", "objects": []}))
         assert run(f"annotate --distances {dist} --image-size huge --out {tmp_path}/o.svg") == 1
 
+    @pytest.mark.parametrize("size", ["0x5", "5x0", "-1x5"])
+    def test_non_positive_size_exit_1(self, tmp_path, size):
+        dist = tmp_path / "img.dist.json"
+        dist.write_text(json.dumps({"image": "img", "objects": []}))
+        assert run(["annotate", "--distances", str(dist), "--image-size", size,
+                    "--out", str(tmp_path / "o.svg")]) == 1
+        assert not (tmp_path / "o.svg").exists()
+
 
 class TestPredictPooling:
     def test_sensor_hole_under_one_box_is_a_failure(self, tmp_path):

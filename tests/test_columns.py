@@ -4,7 +4,9 @@ The column decoders must accept and reject exactly the documents the
 record parsers in conftest do, and decode the same values; `predict` must
 write the bytes that the record chain would; the evaluate report must not
 depend on how an image's objects are split across files or in which order
-the files are given.
+the files are given, and the `.dist.json` of a synth scene must not depend
+on the order of its detections or on detections that the confidence filter
+or NMS drop.
 """
 import copy
 import json
@@ -426,3 +428,60 @@ def test_columnar_predict_matches_record_chain(inputs):
     assert any("projects to empty rect" in r for r in reasons)
     assert (kind is MapKind.DEPTH) == any("no positive depth" in r for r in reasons)
     assert predict(det_bytes, pfm, model, kind) == expected
+
+
+# ---- metamorphic relations of predict on synth scenes ---------------------------
+
+
+@st.composite
+def synth_frames(draw):
+    """A synth scene's disparity PFM and a `.det.json` of its boxes at distinct confidences."""
+    objects = draw(st.lists(scene_object, min_size=1, max_size=6))
+    spec = SceneSpec(48, 32, 80.0, tuple(objects), DEPTHS, 0.02, draw(st.integers(0, 99)))
+    disp, _, _ = render_scene(spec)
+    n = len(objects)
+    confidences = draw(st.lists(st.floats(0.05, 1), min_size=n, max_size=n, unique=True))
+    dets = [
+        {"class_id": CLASSES.index(o.class_name), "class_name": o.class_name, "confidence": c,
+         "bbox": _bbox_list(o.bbox)}
+        for o, c in zip(objects, confidences)
+    ]
+    return {"image": "img", "width": 48, "height": 32, "detections": dets}, write_pfm(disp)
+
+
+inside_frame = st.builds(
+    lambda x, y, w, h: [x, y, x + w, y + h],
+    st.integers(0, 40), st.integers(0, 24), st.integers(1, 8), st.integers(1, 8),
+)
+
+
+def predict_doc(doc, pfm):
+    return predict(json.dumps(doc).encode(), pfm, None, MapKind.DISPARITY)
+
+
+@given(synth_frames(), st.data())
+def test_predict_ignores_the_order_of_detections(frame, data):
+    doc, pfm = frame
+    shuffled = data.draw(st.permutations(doc["detections"]))
+    assert predict_doc({**doc, "detections": shuffled}, pfm) == predict_doc(doc, pfm)
+
+
+@given(synth_frames(), st.data())
+def test_predict_ignores_dropped_distractors(frame, data):
+    """A detection below min_conf, or a lower-confidence same-class copy of a kept box."""
+    doc, pfm = frame
+    base = predict_doc(doc, pfm)
+    kept = [o for o in json.loads(base)["objects"] if o["confidence"] > MIN_CONF]
+    if kept and data.draw(st.booleans(), label="copy"):
+        o = data.draw(st.sampled_from(kept))
+        name, box = o["class_name"], o["bbox"]
+        confidence = data.draw(st.floats(MIN_CONF, o["confidence"], exclude_max=True))
+    else:
+        name, box = data.draw(st.sampled_from(CLASSES)), data.draw(inside_frame)
+        confidence = data.draw(st.floats(0, MIN_CONF, exclude_max=True))
+    distractor = {"class_id": CLASSES.index(name), "class_name": name,
+                  "confidence": confidence, "bbox": box}
+    dets = list(doc["detections"])
+    dets.insert(data.draw(st.integers(0, len(dets))), distractor)
+    assert predict_doc({**doc, "detections": dets}, pfm) == base
+

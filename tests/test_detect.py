@@ -126,6 +126,13 @@ class TestIou:
         assert v == iou(b, a)
         assert 0.0 <= v <= 1.0
 
+    def test_area_past_float64_passes_no_threshold(self):
+        # without a RuntimeWarning, which pytest raises as an error
+        huge = BoundingBox(0, 0, 1e200, 1e200)
+        assert iou(huge, BoundingBox(0, 0, 1, 1)) == 0.0
+        assert math.isnan(iou(huge, huge))
+        assert len(nms(det_set(det(0, 0, 1e200, 1e200), det(0, 0, 1e200, 1e200))).detections) == 2
+
 
 class TestFilterConfidence:
     def test_keeps_above_threshold(self):

@@ -1,16 +1,24 @@
 """Malformed input files end in a DataError: exit 2 from the CLI, never a traceback."""
+import contextlib
 import copy
 import functools
+import io
 import json
 import math
 import operator
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from conftest import checkout_env
-from hypothesis import given
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from test_columns import mutate
 
 from monodist import calib, cli, detect, evaluate, maps, roi, synth
 from monodist.detect import BoundingBox, Detection
@@ -24,6 +32,13 @@ from monodist.errors import (
 
 NOT_UTF8 = b"\xff\xfe\x00x_m,y_abs_m\n1,2\n"
 SCENE = b'{"map_width": 8, "map_height": 8, "background_depth_m": 50, %s}'
+# deeper than Python's recursion limit, so that json.loads raises RecursionError
+NESTED = b"[" * 100000
+# one field longer than the csv module's limit of 131072 characters
+LONG_FIELD = b"1" * 131073
+# map sizes numpy refuses before touching memory: too many bytes, and too long a dimension
+HUGE_MAP = b'{"map_width": 10000000000, "map_height": 10000000000, "background_depth_m": 50}'
+LONG_MAP = b'{"map_width": 9223372036854775808, "map_height": 1, "background_depth_m": 50}'
 
 
 def run_cli(argv, cwd):
@@ -49,6 +64,12 @@ def predict_argv(tmp_path, config_bytes):
     return ["predict", "--config", "c.json", "--image-id", "img0", "--out", "o.json"]
 
 
+def detections_argv(tmp_path, det_bytes):
+    (tmp_path / "img0.det.json").write_bytes(det_bytes)
+    config = {"backend": {"mode": "files", "depth_dir": ".", "det_dir": "."}}
+    return predict_argv(tmp_path, json.dumps(config).encode())
+
+
 def synth_argv(tmp_path, scene_bytes):
     (tmp_path / "s.json").write_bytes(scene_bytes)
     return ["synth", "--scene", "s.json", "--out-prefix", "out/img0"]
@@ -69,10 +90,18 @@ def calibrate_argv(tmp_path, csv_bytes):
         (calibrate_argv, NOT_UTF8),
         (synth_argv, SCENE % b'"noise_amplitude": 0.1, "seed": -1'),
         (synth_argv, SCENE % b'"noise_amplitude": 1e308'),
+        (detections_argv, NESTED),
+        (predict_argv, NESTED),
+        (calibrate_argv, b"x_m,y_abs_m\n1," + LONG_FIELD + b"\n"),
+        (synth_argv, HUGE_MAP),
+        (synth_argv, LONG_MAP),
+        (evaluate_argv, b'{"image": "img0", "objects": [{"class_name": "car", "abs_m": 1e308}]}'),
     ],
     ids=[
         "gt_object_not_a_dict", "gt_not_utf8", "config_is_a_list", "scene_is_a_list",
-        "csv_not_utf8", "scene_negative_seed", "scene_huge_noise",
+        "csv_not_utf8", "scene_negative_seed", "scene_huge_noise", "detections_nested_too_deep",
+        "config_nested_too_deep", "csv_field_too_long", "scene_map_too_many_bytes",
+        "scene_map_too_wide", "rmse_past_float64",
     ],
 )
 def test_malformed_file_exits_2_without_traceback(tmp_path, make_argv, payload):
@@ -154,9 +183,25 @@ def test_bbox_must_be_a_list_of_four(name):
         ("detections", b'{"image": "a", "width": Infinity, "height": 2, "detections": []}'),
         ("calibration_model", b'{"c0": 1, "c1": 0, "c2": 0, "h_m": 1, "fit_rmse_m": 0, '
                               b'"n_samples": -Infinity}'),
+        *((name, NESTED) for name in
+          ("detections", "ground_truth", "scene", "distances", "calibration_model")),
+        ("samples_csv", b"x_m," + LONG_FIELD + b"\n1,2\n"),
+        ("samples_csv", b"x_m,y_abs_m\n1," + LONG_FIELD + b"\n"),
+        ("samples_csv", b"x_m,y_abs_m\n-1,2\n"),
+        ("samples_csv", b"x_m,y_abs_m\ninf,2\n"),
+        ("samples_csv", b"x_m,y_abs_m\n1,0\n"),
+        ("calibration_model", b'{"c0": 1, "c1": 0, "c2": 0, "h_m": 1, "fit_rmse_m": -1, '
+                              b'"n_samples": 3}'),
+        ("calibration_model", b'{"c0": 1, "c1": 0, "c2": 0, "h_m": 1, "fit_rmse_m": 0, '
+                              b'"n_samples": 1}'),
+        ("scene", b'{"map_width": 0, "map_height": 8, "background_depth_m": 50}'),
     ],
     ids=["inverted_bbox", "inverted_depth_range", "nan_noise", "infinite_seed",
-         "infinite_width", "infinite_n_samples"],
+         "infinite_width", "infinite_n_samples", "detections_nested_too_deep",
+         "ground_truth_nested_too_deep", "scene_nested_too_deep", "distances_nested_too_deep",
+         "calibration_model_nested_too_deep", "csv_header_field_too_long",
+         "csv_row_field_too_long", "sample_x_negative", "sample_x_infinite", "sample_y_abs_zero",
+         "model_negative_fit_rmse", "model_one_sample", "scene_zero_map_width"],
 )
 def test_invalid_values_raise_the_parsers_own_error(name, payload):
     parse, error = PARSERS[name]
@@ -266,3 +311,114 @@ def test_load_config_one_field_mutation_raises_only_data_errors(tmp_path_factory
             assert source.is_dir()
         else:
             assert isinstance(source, str) and source
+
+
+def test_load_config_reports_an_unreadable_file_as_a_data_error(tmp_path):
+    with pytest.raises(DataError, match=f"^cannot read {re.escape(str(tmp_path))}: Is a directory$"):
+        cli.load_config(tmp_path)
+    (tmp_path / "m.calib.json").mkdir()
+    doc = {"backend": CONFIGS["process"], "calibration_model_path": "m.calib.json"}
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="^cannot read .*m.calib.json: Is a directory$"):
+        cli.load_config(tmp_path / "c.json")
+
+
+def test_load_config_rejects_a_depth_dir_that_is_a_file(tmp_path):
+    doc = {"backend": {**CONFIGS["files"], "depth_dir": "c.json"}}
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="^depth_dir .*c.json is not a directory$"):
+        cli.load_config(tmp_path / "c.json")
+
+
+DET_DOC = {"image": "img0", "width": 32, "height": 24, "detections": [
+    {"class_id": 0, "class_name": "car", "confidence": 0.9, "bbox": [2, 2, 12, 10]},
+    {"class_id": 0, "class_name": "car", "confidence": 0.8, "bbox": [3, 2, 12, 11]},
+    {"class_id": 1, "class_name": "person", "confidence": 0.5, "bbox": [14, 4, 20, 20]},
+]}
+DIST_DOC = {"image": "img0", "objects": [
+    {"class_name": "car", "confidence": 0.9, "bbox": [2, 2, 12, 10], "rev_m": 5.0, "abs_m": 5.5},
+    {"class_name": "person", "confidence": 0.5, "bbox": [14, 4, 20, 20], "rev_m": 7.0,
+     "abs_m": None},
+]}
+GT_DOC = {"image": "img0", "objects": [
+    {"class_name": "car", "abs_m": 5.2, "bbox": [2, 2, 12, 10]},
+    {"class_name": "person", "abs_m": 7.5},
+]}
+PREDICT_CONFIG = {
+    "backend": {"mode": "files", "depth_dir": ".", "det_dir": ".", "depth_kind": "disparity"},
+    "depth_range": {"min_m": 0.5, "max_m": 80.0}, "min_conf": 0.25, "iou_threshold": 0.45,
+    "calibration_model_path": "m.calib.json",
+}
+SAMPLES = [["x_m", "y_abs_m"], [1, 2.5], [2, 3.1], [4, 5.0], [8, 9.5]]
+PFM = maps.write_pfm(maps.ScalarMap(16, 12, maps.MapKind.DISPARITY, np.linspace(0, 1, 192)))
+# each subcommand's arguments and the valid input files they name; "out" is the output
+COMMANDS = {
+    "calibrate": (["--samples", "s.csv", "--camera-height", "1.5", "--out", "out"],
+                  {"s.csv": SAMPLES}),
+    "predict": (["--config", "c.json", "--image-id", "img0", "--out", "out"],
+                {"c.json": PREDICT_CONFIG, "img0.det.json": DET_DOC, "m.calib.json": MODEL_DOC}),
+    "evaluate": (["--pred", "p.json", "--gt", "g.json", "--out", "out"],
+                 {"p.json": DIST_DOC, "g.json": GT_DOC}),
+    "synth": (["--scene", "s.json", "--out-prefix", "out"], {"s.json": ROUND_TRIPS["scene"][1]}),
+    "annotate": (["--distances", "p.json", "--image-size", "32x24", "--out", "out"],
+                 {"p.json": DIST_DOC}),
+}
+
+
+def csv_bytes(rows):
+    return "".join(
+        (",".join(map(str, row)) if isinstance(row, list) else str(row)) + "\n" for row in rows
+    ).encode()
+
+
+@st.composite
+def cli_inputs(draw):
+    """A subcommand, and the name and bytes of one of its input files with one field mutated."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    files = COMMANDS[command][1]
+    name = draw(st.sampled_from(sorted(files)))
+    doc, data = files[name], SimpleNamespace(draw=draw)
+    if name == "s.csv":
+        return command, name, csv_bytes(json.loads(mutate_one_field(doc, data)))
+    items = doc.get("detections", doc.get("objects"))
+    if items and draw(st.booleans()):
+        return command, name, mutate(copy.deepcopy(doc), data, sorted(items[0]))
+    return command, name, mutate_one_field(doc, data)
+
+
+def fills_a_large_map(scene: bytes) -> bool:
+    """Whether `synth` would write every page of a map that numpy can allocate, past 1 MiB."""
+    try:
+        doc = json.loads(scene)
+        cells = int(doc["map_width"]) * int(doc["map_height"])
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+        return False
+    return 2**17 < cells < 2**60  # from 2**60 cells on, numpy refuses before allocating
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_inputs())
+@example(("predict", "img0.det.json", NESTED))
+@example(("calibrate", "s.csv", b"x_m,y_abs_m\n1," + LONG_FIELD + b"\n"))
+@example(("synth", "s.json", HUGE_MAP))
+@example(("evaluate", "p.json", json.dumps({"image": "img0", "objects": [
+    {**DIST_DOC["objects"][0], "bbox": [0, 0, 1e200, 1e200]}]}).encode()))
+def test_every_subcommand_keeps_the_exit_code_contract(inputs):
+    command, name, payload = inputs
+    if command == "synth" and fills_a_large_map(payload):
+        reject()
+    args, files = COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "img0.pfm").write_bytes(PFM)
+        for other, doc in files.items():
+            valid = csv_bytes(doc) if other == "s.csv" else json.dumps(doc).encode()
+            (d / other).write_bytes(payload if other == name else valid)
+        argv = [command, *(str(d / a) if a in files or a == "out" else a for a in args)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.dispatch(argv)  # a RuntimeWarning is raised here as an error
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert stderr.getvalue().splitlines()[-1].startswith(f"monodist {command}: ")
+            assert not list(d.glob("out*"))

@@ -90,6 +90,7 @@ class TestPfm:
             b"Pf\n1\n-1.0\n" + b"\x00" * 4,
             b"Pf\n1 1\n0.0\n" + b"\x00" * 4,
             b"Pf",
+            b"Pf\nx 2\n-1.0\n",  # a header field that is not a number
         ],
     )
     def test_malformed_streams_rejected(self, stream):

@@ -44,6 +44,20 @@ class TestProjectBbox:
         with pytest.raises(DegenerateRoiError):
             project_bbox(BoundingBox(640, 0, 641, 480), (640, 480), (1, 1))
 
+    @pytest.mark.parametrize("image_dims, map_dims", [((0, 10), (10, 10)), ((10, 10), (10, 0))])
+    def test_zero_size_raises(self, image_dims, map_dims):
+        with pytest.raises(DataError, match="dimensions must be positive"):
+            project_bbox(BoundingBox(1, 1, 2, 2), image_dims, map_dims)
+
+    @pytest.mark.parametrize("rect, message", [
+        ((-1, 0, 2, 2), "negative rect index"),
+        ((0, 0, 0, 2), "empty rect"),
+        ((0, 3, 2, 3), "empty rect"),
+    ])
+    def test_index_rect_rules(self, rect, message):
+        with pytest.raises(DataError, match=message):
+            IndexRect(*rect)
+
     @given(
         st.floats(0, 99), st.floats(0, 99), st.floats(0.1, 100), st.floats(0.1, 100),
         st.integers(1, 4),

@@ -156,6 +156,8 @@ RULE_MESSAGES = [
     "min_conf {} outside [0, 1]",
     "iou_threshold {} outside (0, 1)",
     "camera height must be positive",
+    "sample x must be non-negative finite",
+    "sample y_abs must be positive finite",
 ]
 
 
