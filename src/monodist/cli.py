@@ -142,13 +142,7 @@ def predict_image(
     depth_map = maps.read_pfm(
         cfg.backend.fetch_depth_bytes(image_id), kind=cfg.backend.depth_kind
     )
-    objects, failures = roi.measure_columns(depth_map, dets, cfg.depth_range)
-    if cfg.calibration_model is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below instead
-            abs_m = calib.apply(cfg.calibration_model, objects.rev)
-        roi._check_distances(objects.rev, abs_m)
-        objects = objects._replace(distances=abs_m, calibrated=np.ones_like(objects.calibrated))
-    return objects, failures
+    return roi.measure_columns(depth_map, dets, cfg.depth_range, cfg.calibration_model)
 
 
 def render_svg(image_id: str, objects: detect.Columns, image_size: tuple[int, int]) -> str:
@@ -239,16 +233,17 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_annotate(args) -> int:
-    try:
-        w, h = (int(v) for v in args.image_size.lower().split("x"))
-        if w <= 0 or h <= 0:
-            raise ValueError
-    except ValueError:
-        print(f"annotate: bad --image-size {args.image_size!r}, expected WxH", file=sys.stderr)
-        return EXIT_USAGE
     image_id, objects = roi.decode_distances(Path(args.distances).read_bytes())
-    Path(args.out).write_text(render_svg(image_id, objects, (w, h)))
+    Path(args.out).write_text(render_svg(image_id, objects, args.image_size), encoding="utf-8")
     return EXIT_OK
+
+
+def _image_size(text: str) -> tuple[int, int]:
+    """The `WxH` of annotate's --image-size, both positive; argparse reports a ValueError."""
+    w, h = (int(v) for v in text.lower().split("x"))
+    if w <= 0 or h <= 0:
+        raise ValueError(text)
+    return w, h
 
 
 @functools.cache
@@ -296,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("annotate", help="emit an SVG overlay of measured objects")
     p.add_argument("--distances", required=True, help=".dist.json path")
-    p.add_argument("--image-size", required=True, metavar="WxH")
+    p.add_argument("--image-size", required=True, type=_image_size, metavar="WxH")
     p.add_argument("--out", required=True, help="output .svg path")
     p.set_defaults(func=_cmd_annotate)
     return parser
@@ -317,6 +312,8 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # a name the locale cannot encode is printed escaped, not raised as UnicodeEncodeError
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(dispatch(sys.argv[1:]))
 
 

@@ -58,15 +58,17 @@ class DetectionSet:
     image_id: str
     image_width: int
     image_height: int
-    detections: Sequence[Detection]
+    detections: Sequence[Detection]  # given as records or as the Columns of `.det.json`
 
     def __post_init__(self):
         if self.image_width <= 0 or self.image_height <= 0:
             raise DataError(
                 f"image dimensions must be positive, got {self.image_width}x{self.image_height}"
             )
-        if not isinstance(self.detections, _Rows):
-            object.__setattr__(self, "detections", _Rows(_columns(tuple(self.detections))))
+        d = self.detections
+        if not isinstance(d, _Rows):
+            columns = d if isinstance(d, Columns) else _columns(tuple(d))
+            object.__setattr__(self, "detections", _Rows(columns))
 
     @property
     def columns(self) -> Columns:
@@ -74,7 +76,7 @@ class DetectionSet:
 
     def take(self, rows: np.ndarray) -> DetectionSet:
         """The detections at the integer `rows`, in that order."""
-        return replace(self, detections=_Rows(self.columns.take(rows)))
+        return replace(self, detections=self.columns.take(rows))
 
 
 class Columns(NamedTuple):
@@ -131,7 +133,7 @@ class _Rows(Sequence):
 def _columns(detections: Sequence[Detection]) -> Columns:
     """The columns of detection records."""
     return Columns(
-        [d.class_name for d in detections], _box_array(d.bbox for d in detections),
+        [d.class_name for d in detections], _coord_array([_bbox_list(d.bbox) for d in detections]),
         confidence=np.array([d.confidence for d in detections], dtype=np.float64),
         class_ids=[d.class_id for d in detections],
     )
@@ -215,7 +217,7 @@ def parse_detections(data: bytes | str) -> DetectionSet:
         ok = boxes[:, :2] < boxes[:, 2:]
         _check_column(ok, raws, "bbox {} is empty after clamping to image bounds")
         columns = Columns(names, boxes, confidence=conf, class_ids=class_ids)
-        return DetectionSet(image, width, height, _Rows(columns))
+        return DetectionSet(image, width, height, columns)
 
 
 def serialize_detections(ds: DetectionSet) -> bytes:
@@ -229,14 +231,6 @@ def serialize_detections(ds: DetectionSet) -> bytes:
     ]})
 
 
-def _box_array(boxes: Iterable[BoundingBox | None]) -> np.ndarray:
-    """The (n, 4) float64 array of x0, y0, x1, y1 rows that `iou` takes; None gives a NaN row."""
-    return np.array(
-        [(math.nan,) * 4 if b is None else _bbox_list(b) for b in boxes],
-        dtype=np.float64,
-    ).reshape(-1, 4)
-
-
 def iou(
     a: BoundingBox | np.ndarray, b: BoundingBox | np.ndarray
 ) -> float | np.ndarray:
@@ -247,9 +241,8 @@ def iou(
     area), returns the (n, m) IoU matrix. Both forms compute
     inter / (area_a + area_b - inter) with the same float64 operations.
     """
-    scalar = isinstance(a, BoundingBox)
-    if scalar:
-        a, b = _box_array([a]), _box_array([b])
+    if isinstance(a, BoundingBox):
+        return float(iou(_coord_array([_bbox_list(a)]), _coord_array([_bbox_list(b)]))[0, 0])
     ax0, ay0, ax1, ay1 = a.T[:, :, None]
     bx0, by0, bx1, by1 = b.T
     ix = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
@@ -258,7 +251,7 @@ def iou(
     with np.errstate(over="ignore", invalid="ignore"):  # an area past float64: IoU 0.0 or NaN
         inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
         overlap = inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
-    return float(overlap[0, 0]) if scalar else overlap
+    return overlap
 
 
 def filter_confidence(ds: DetectionSet, min_conf: float) -> DetectionSet:

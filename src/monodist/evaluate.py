@@ -8,7 +8,7 @@ from operator import attrgetter
 import numpy as np
 
 from .codec import _decode, _dump
-from .detect import BoundingBox, _bbox_array, _bbox_list, _box_array, _check_column, _floats, iou
+from .detect import BoundingBox, _bbox_array, _bbox_list, _check_column, _floats, iou
 from .errors import DataError, DetectionFormatError
 from .roi import Columns, ObjectDistance, _distance_columns, decode_distances
 
@@ -59,9 +59,9 @@ def match_objects(
     preds: list[ObjectDistance], gts: list[GroundTruthObject]
 ) -> tuple[list[MatchedPair], int, int]:
     """`match_columns` on prediction and ground-truth records."""
-    truths = Columns([gt.class_name for gt in gts], _box_array(gt.bbox for gt in gts))
-    distances = np.array([gt.abs_distance for gt in gts])
-    return match_columns(_distance_columns(preds), truths._replace(distances=distances))
+    boxes = _truth_boxes([None if gt.bbox is None else _bbox_list(gt.bbox) for gt in gts])
+    truths = Columns([gt.class_name for gt in gts], boxes, _floats([gt.abs_distance for gt in gts]))
+    return match_columns(_distance_columns(preds), truths)
 
 
 def match_columns(p: Columns, g: Columns) -> tuple[list[MatchedPair], int, int]:
@@ -112,9 +112,12 @@ def rmse(pairs: list[MatchedPair]) -> float:
     if not pairs:
         raise DataError("rmse of an empty pair list is undefined")
     try:
-        return math.sqrt(sum(p.error**2 for p in pairs) / len(pairs))
+        mean_square = sum(p.error**2 for p in pairs) / len(pairs)
     except OverflowError:  # an error past about 1e154 squares beyond float64
-        raise DataError("rmse overflows float64; distances too large") from None
+        mean_square = math.inf
+    if mean_square == math.inf:  # so also an infinite error, or squares summing past float64
+        raise DataError("rmse overflows float64; distances too large")
+    return math.sqrt(mean_square)
 
 
 def threshold_accuracy(pairs: list[MatchedPair], t: float) -> float:
@@ -187,10 +190,14 @@ def decode_ground_truth(data: bytes | str) -> tuple[str, Columns]:
         names = [str(o["class_name"]) for o in objects]
         distances = _floats([o["abs_m"] for o in objects])
         _check_truths(distances)
-        raw = [o.get("bbox") for o in objects]
-        boxes = np.full((len(raw), 4), math.nan)
-        boxes[[b is not None for b in raw]] = _bbox_array([b for b in raw if b is not None])
-        return image, Columns(names, boxes, distances)
+        return image, Columns(names, _truth_boxes([o.get("bbox") for o in objects]), distances)
+
+
+def _truth_boxes(raws: list) -> np.ndarray:
+    """The box array of optional ground-truth `[x0, y0, x1, y1]` lists; None gives a NaN row."""
+    boxes = np.full((len(raws), 4), math.nan)
+    boxes[[b is not None for b in raws]] = _bbox_array([b for b in raws if b is not None])
+    return boxes
 
 
 def parse_ground_truth(data: bytes | str) -> tuple[str, list[GroundTruthObject]]:

@@ -47,9 +47,9 @@ class ScalarMap:
     """Immutable 2-D grid of scalar values, row-major, top row first.
 
     Disparity maps are dimensionless in [0, 1]; depth maps are in meters.
-    float32 values stay float32 (a PFM map is a read-only view of the
-    stream's bytes); any other input becomes float64. Either way ``values``
-    is a read-only array that may be a non-contiguous view.
+    float32 values, of either byte order, stay float32 (a PFM map is a
+    read-only view of the stream's bytes); other input becomes float64, and
+    ``values`` is always a read-only array that may be a non-contiguous view.
     """
 
     width: int
@@ -61,7 +61,7 @@ class ScalarMap:
         if self.width <= 0 or self.height <= 0:
             raise DataError(f"map dimensions must be positive, got {self.width}x{self.height}")
         vals = np.asarray(self.values)
-        if vals.dtype != np.float32:
+        if vals.dtype.char != "f":  # float32 of either byte order: a cast warns on a signalling NaN
             vals = vals.astype(np.float64, copy=False)
         # a fresh view, so the caller's own array stays writable
         vals = vals.reshape(self.height, self.width).view()
@@ -78,9 +78,9 @@ class ScalarMap:
 def read_pfm(data: bytes, kind: MapKind = MapKind.DISPARITY) -> ScalarMap:
     """Decode a grayscale PFM byte stream.
 
-    The file stores rows bottom-first; the returned map is top-first. A
-    little-endian stream decodes to a float32 view of ``data`` with no copy.
-    Color (``PF``) streams are rejected.
+    The file stores rows bottom-first; the returned map is top-first. The
+    stream, of either byte order, decodes to a float32 view of ``data`` with
+    no copy. Color (``PF``) streams are rejected.
     """
     try:
         magic_end = data.index(b"\n")

@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import calib
 from .codec import _decode, _dump
 from .detect import (
-    BoundingBox, Columns, Detection, DetectionSet, _bbox_array, _bbox_list, _box_array,
-    _check_column, _check_fields, _columns, _floats, _records,
+    BoundingBox, Columns, Detection, DetectionSet, _bbox_array, _bbox_list, _check_column,
+    _check_fields, _columns, _coord_array, _floats, _records,
 )
 from .errors import DataError, DegenerateRoiError, DetectionFormatError
 from .maps import DepthRange, MapKind, ScalarMap, disparity_to_depth_value
@@ -77,7 +78,8 @@ def project_bbox(
     the far corner ceiled so that a box thinner than a cell still covers one,
     then clamped to the grid. A rect left empty raises DegenerateRoiError.
     """
-    col0, row0, col1, row1 = _project(_box_array([bbox]), image_dims, map_dims).tolist()[0]
+    boxes = _coord_array([_bbox_list(bbox)])
+    col0, row0, col1, row1 = _project(boxes, image_dims, map_dims).tolist()[0]
     if col0 >= col1 or row0 >= row1:
         raise DegenerateRoiError(_EMPTY_RECT.format(bbox, *map_dims))
     return IndexRect(col0=col0, row0=row0, col1=col1, row1=row1)
@@ -126,17 +128,18 @@ def _median_depth(values: np.ndarray, depth_range: DepthRange | None) -> float:
 
 
 def measure_columns(
-    depth: ScalarMap, dets: DetectionSet, depth_range: DepthRange | None = None
+    depth: ScalarMap, dets: DetectionSet, depth_range: DepthRange | None = None,
+    model: calib.CalibrationModel | None = None,
 ) -> tuple[Columns, list[RoiFailure]]:
-    """Compute the relative distance (REV) of every detection.
+    """Compute the relative distance (REV) of every detection, calibrated by `model` if given.
 
     REV is the median depth inside the detection's box projected onto the
     grid. A disparity map needs depth_range and is pooled in disparity
     space. A metric depth map pools only its positive pixels, because zero
     or negative depth marks a sensor hole. Degenerate projections and boxes
     with no valid pixel are recorded as failures, not raised, so a bad box
-    never aborts the whole image. The measured detections come back, in
-    order and uncalibrated, with their `rev` and `distances` set to REV.
+    never aborts the whole image. The measured detections come back in
+    order, with `rev` set to REV and `distances` to ABS (REV without a model).
     """
     holes = False
     if depth.kind is MapKind.DISPARITY:
@@ -165,10 +168,12 @@ def measure_columns(
     failures = [RoiFailure(d, reason) for d, reason in zip(failing, failed.values())]
     measured = np.flatnonzero(~np.isnan(rev))
     rev = rev[measured]
-    _check_distances(rev)
-    calibrated = np.zeros(len(rev), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below instead
+        distances = rev if model is None else calib.apply(model, rev)
+    _check_distances(rev, None if model is None else distances)
+    calibrated = np.full(len(rev), model is not None)
     objects = dets.take(measured).columns
-    return objects._replace(distances=rev, rev=rev, calibrated=calibrated), failures
+    return objects._replace(distances=distances, rev=rev, calibrated=calibrated), failures
 
 
 def measure_objects(

@@ -11,9 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import _decode, _dump
-from .detect import (
-    BoundingBox, Columns, DetectionSet, _bbox_list, _box_array, _check_fields, _coord_array, _Rows,
-)
+from .detect import BoundingBox, Columns, DetectionSet, _bbox_list, _check_fields, _coord_array
 from .errors import SceneError
 from .evaluate import GroundTruthObject
 from .maps import DepthRange, MapKind, ScalarMap, depth_to_disparity_value
@@ -78,7 +76,7 @@ def render_scene(
     except ValueError as e:  # a size numpy cannot index, raised before any memory is touched
         raise SceneError(f"map {spec.map_width}x{spec.map_height} is too large: {e}") from None
     dims = (spec.map_width, spec.map_height)
-    boxes = _box_array(o.bbox for o in spec.objects)
+    boxes = _coord_array([_bbox_list(o.bbox) for o in spec.objects])
     placed = zip(spec.objects, _project(boxes, dims, dims).tolist())
     # nearer objects painted last so they overwrite farther ones, on the cells that pooling reads
     for obj, (col0, row0, col1, row1) in sorted(placed, key=lambda p: -p[0].depth):
@@ -96,7 +94,7 @@ def render_scene(
         width=spec.map_width, height=spec.map_height, kind=MapKind.DISPARITY, values=disparity
     )
     columns = Columns(names, boxes, confidence=conf, class_ids=ids)
-    detections = DetectionSet("synthetic", spec.map_width, spec.map_height, _Rows(columns))
+    detections = DetectionSet("synthetic", spec.map_width, spec.map_height, columns)
     gts = [
         GroundTruthObject(class_name=o.class_name, abs_distance=o.depth, bbox=o.bbox)
         for o in spec.objects

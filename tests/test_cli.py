@@ -586,3 +586,26 @@ def test_calibrate_overflow_exit_2_without_numpy_warnings(tmp_path, rows, height
     assert proc.stderr.startswith("monodist calibrate:") and "overflow" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "m.json").exists()
+
+
+def test_non_ascii_class_names_under_a_c_locale(tmp_path):
+    """Under an ASCII locale, annotate and evaluate exit 0 and write the bytes a UTF-8 run does."""
+    od = {"class_name": "café", "confidence": 0.9, "bbox": [10, 20, 110, 80], "rev_m": 9.8,
+          "abs_m": None}
+    (tmp_path / "p.json").write_text(json.dumps({"image": "img", "objects": [od]}))
+    gt = {"class_name": "café", "abs_m": 10.0, "bbox": [10, 20, 110, 80]}
+    (tmp_path / "g.json").write_text(json.dumps({"image": "img", "objects": [gt]}))
+    outputs = {}
+    for name, env in [("utf8", {"PYTHONUTF8": "1"}),
+                      ("c", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})]:
+        for argv in (["annotate", "--distances", "p.json", "--image-size", "640x480",
+                      "--out", f"{name}.svg"],
+                     ["evaluate", "--pred", "p.json", "--gt", "g.json", "--out", f"{name}.json"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "monodist.cli", *argv], cwd=tmp_path,
+                env={**checkout_env(), **env}, capture_output=True, timeout=120,
+            )
+            assert proc.returncode == 0 and b"Traceback" not in proc.stderr, proc.stderr
+        outputs[name] = [(tmp_path / f"{name}{ext}").read_bytes() for ext in (".svg", ".json")]
+    assert "café".encode() in outputs["utf8"][0]
+    assert outputs["c"] == outputs["utf8"]

@@ -6,7 +6,8 @@ write the bytes that the record chain would; the evaluate report must not
 depend on how an image's objects are split across files or in which order
 the files are given, and the `.dist.json` of a synth scene must not depend
 on the order of its detections or on detections that the confidence filter
-or NMS drop.
+or NMS drop. A box that fails must leave the other boxes' output as it was,
+and a disparity map must pool to the REV of its own depth conversion.
 """
 import copy
 import json
@@ -28,7 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monodist import calib, cli, evaluate, roi
-from monodist.detect import BoundingBox, _bbox_array, _bbox_list, parse_detections
+from monodist.detect import (
+    BoundingBox, Detection, DetectionSet, _bbox_array, _bbox_list, parse_detections,
+)
 from monodist.errors import DataError, DetectionFormatError
 from monodist.maps import (
     DepthRange, MapKind, ScalarMap, disparity_to_depth, disparity_to_depth_value, read_pfm,
@@ -226,7 +229,7 @@ coords = st.tuples(*[edges | edges | st.floats(allow_nan=True)] * 4)
 
 @settings(max_examples=300)
 @given(st.lists(coords, max_size=4))
-def test_box_array_and_bounding_box_agree(rows):
+def test_bbox_array_and_bounding_box_agree(rows):
     verdicts = [accepts(lambda c=c: BoundingBox(*c)) for c in rows]
     assert verdicts == [accepts(lambda c=c: reference_bbox(list(c))) for c in rows]
     assert verdicts == [accepts(lambda c=c: _bbox_array([list(c)])) for c in rows]
@@ -485,3 +488,56 @@ def test_predict_ignores_dropped_distractors(frame, data):
     dets.insert(data.draw(st.integers(0, len(dets))), distractor)
     assert predict_doc({**doc, "detections": dets}, pfm) == base
 
+
+
+def disjoint(a, b):
+    return a[2] <= b[0] or b[2] <= a[0] or a[3] <= b[1] or b[3] <= a[1]
+
+
+@given(synth_frames(), st.data())
+def test_a_box_in_a_sensor_hole_leaves_the_other_boxes_unchanged(frame, data):
+    """On a metric map, a box of a fresh class over a zero patch that no other box overlaps."""
+    doc, pfm = frame
+    depth = disparity_to_depth(read_pfm(pfm), DEPTHS).values.copy()
+    boxes = [d["bbox"] for d in doc["detections"]]
+    hole = data.draw(inside_frame.filter(lambda h: all(disjoint(h, b) for b in boxes)))
+    depth[hole[1] : hole[3], hole[0] : hole[2]] = 0.0
+    pfm = write_pfm(ScalarMap(48, 32, MapKind.DEPTH, depth))
+    base = json.loads(predict(json.dumps(doc).encode(), pfm, None, MapKind.DEPTH))
+    bad = {"class_id": 3, "class_name": "cyclist",
+           "confidence": data.draw(st.floats(MIN_CONF, 1)), "bbox": hole}
+    dets = list(doc["detections"])
+    dets.insert(data.draw(st.integers(0, len(dets))), bad)
+    got = json.loads(predict(json.dumps({**doc, "detections": dets}).encode(), pfm, None,
+                             MapKind.DEPTH))
+    assert got["objects"] == base["objects"]
+    failures = base.get("failures", [])
+    assert got["failures"][: len(failures)] == failures
+    [added] = got["failures"][len(failures):]
+    assert (added["class_name"], added["bbox"]) == ("cyclist", hole)
+    assert added["reason"].startswith("no positive depth")
+
+
+@given(synth_frames(), st.data())
+def test_a_box_outside_the_image_leaves_the_other_boxes_unchanged(frame, data):
+    """In process, a record-built box past the image's right edge projects to an empty rect."""
+    doc, pfm = frame
+    disparity = read_pfm(pfm)
+    records = list(parse_detections(json.dumps(doc).encode()).detections)
+    outside = Detection(0, "car", 0.9, BoundingBox(48, 0, data.draw(st.floats(48.5, 1e6)), 32))
+    base = roi.measure_objects(disparity, DetectionSet("img", 48, 32, records), DEPTHS)
+    records.insert(data.draw(st.integers(0, len(records))), outside)
+    objects, failures = roi.measure_objects(disparity, DetectionSet("img", 48, 32, records), DEPTHS)
+    assert objects == base[0]
+    assert [f.detection for f in failures] == [*(f.detection for f in base[1]), outside]
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(inside_frame, min_size=1, max_size=6))
+def test_a_disparity_map_pools_to_the_rev_of_its_depth(seed, boxes):
+    """In process on float64 maps: through a float32 PFM the converted depths would round."""
+    values = np.random.default_rng(seed).uniform(0.0, 1.0, (32, 48))
+    disparity = ScalarMap(48, 32, MapKind.DISPARITY, values)
+    dets = DetectionSet("img", 48, 32, [Detection(0, "car", 0.9, BoundingBox(*b)) for b in boxes])
+    by_disparity, _ = roi.measure_objects(disparity, dets, DEPTHS)
+    by_depth, _ = roi.measure_objects(disparity_to_depth(disparity, DEPTHS), dets)
+    assert [od.rev for od in by_disparity] == [od.rev for od in by_depth]

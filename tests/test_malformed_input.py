@@ -39,6 +39,7 @@ LONG_FIELD = b"1" * 131073
 # map sizes numpy refuses before touching memory: too many bytes, and too long a dimension
 HUGE_MAP = b'{"map_width": 10000000000, "map_height": 10000000000, "background_depth_m": 50}'
 LONG_MAP = b'{"map_width": 9223372036854775808, "map_height": 1, "background_depth_m": 50}'
+FAR_TRUTH = b'{"image": "img0", "objects": [{"class_name": "car", "abs_m": 1e308}]}'
 
 
 def run_cli(argv, cwd):
@@ -57,6 +58,14 @@ def evaluate_argv(tmp_path, gt_bytes):
     (tmp_path / "p.json").write_bytes(roi.serialize_distances("img0", [od]))
     (tmp_path / "gt.json").write_bytes(gt_bytes)
     return ["evaluate", "--pred", "p.json", "--gt", "gt.json", "--out", "r.json"]
+
+
+def far_evaluate_argv(tmp_path, gt_bytes):
+    """`evaluate_argv` with the prediction calibrated to -1e308 m."""
+    argv = evaluate_argv(tmp_path, gt_bytes)
+    od = roi.ObjectDistance(Detection(0, "car", 0.9, BoundingBox(0, 0, 10, 10)), 5.0, -1e308)
+    (tmp_path / "p.json").write_bytes(roi.serialize_distances("img0", [od]))
+    return argv
 
 
 def predict_argv(tmp_path, config_bytes):
@@ -96,12 +105,14 @@ def calibrate_argv(tmp_path, csv_bytes):
         (synth_argv, HUGE_MAP),
         (synth_argv, LONG_MAP),
         (evaluate_argv, b'{"image": "img0", "objects": [{"class_name": "car", "abs_m": 1e308}]}'),
+        # -1e308 against 1e308: the pair's error is infinite, so its square raises nothing
+        (far_evaluate_argv, FAR_TRUTH),
     ],
     ids=[
         "gt_object_not_a_dict", "gt_not_utf8", "config_is_a_list", "scene_is_a_list",
         "csv_not_utf8", "scene_negative_seed", "scene_huge_noise", "detections_nested_too_deep",
         "config_nested_too_deep", "csv_field_too_long", "scene_map_too_many_bytes",
-        "scene_map_too_wide", "rmse_past_float64",
+        "scene_map_too_wide", "rmse_past_float64", "pair_error_infinite",
     ],
 )
 def test_malformed_file_exits_2_without_traceback(tmp_path, make_argv, payload):
@@ -396,6 +407,40 @@ def fills_a_large_map(scene: bytes) -> bool:
     return 2**17 < cells < 2**60  # from 2**60 cells on, numpy refuses before allocating
 
 
+def strict_json(data: bytes):
+    """JSON that holds no NaN or Infinity, which `json.dumps` writes and the JSON standard lacks."""
+    def reject_constant(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(data, parse_constant=reject_constant)
+
+
+def assert_exit_code_contract(command, inputs):
+    """Run `command` in process on `inputs` (file name -> bytes), and check the exit-code contract.
+
+    The exit code is 0, 1 or 2 and nothing is raised out of `dispatch` (a
+    RuntimeWarning is raised as an error). After exit 2 the last line of
+    stderr names the subcommand and no output is written; after exit 0
+    every JSON output is strict JSON.
+    """
+    args, _ = COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, data in inputs.items():
+            (d / name).write_bytes(data)
+        argv = [command, *(str(d / a) if a in inputs or a == "out" else a for a in args)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.dispatch(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert stderr.getvalue().splitlines()[-1].startswith(f"monodist {command}: ")
+            assert not list(d.glob("out*"))
+        elif command != "annotate":  # annotate writes SVG
+            for out in d.glob("out*"):
+                if out.suffix != ".pfm":
+                    strict_json(out.read_bytes())
+
+
 @settings(max_examples=100, deadline=None)
 @given(cli_inputs())
 @example(("predict", "img0.det.json", NESTED))
@@ -403,22 +448,60 @@ def fills_a_large_map(scene: bytes) -> bool:
 @example(("synth", "s.json", HUGE_MAP))
 @example(("evaluate", "p.json", json.dumps({"image": "img0", "objects": [
     {**DIST_DOC["objects"][0], "bbox": [0, 0, 1e200, 1e200]}]}).encode()))
+# each error squares below float64's maximum, but their sum does not
+@example(("evaluate", "p.json", json.dumps({"image": "img0", "objects": [
+    {**o, "abs_m": 1e154} for o in DIST_DOC["objects"]]}).encode()))
 def test_every_subcommand_keeps_the_exit_code_contract(inputs):
     command, name, payload = inputs
     if command == "synth" and fills_a_large_map(payload):
         reject()
-    args, files = COMMANDS[command]
-    with tempfile.TemporaryDirectory() as tmp:
-        d = Path(tmp)
-        (d / "img0.pfm").write_bytes(PFM)
-        for other, doc in files.items():
-            valid = csv_bytes(doc) if other == "s.csv" else json.dumps(doc).encode()
-            (d / other).write_bytes(payload if other == name else valid)
-        argv = [command, *(str(d / a) if a in files or a == "out" else a for a in args)]
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = cli.dispatch(argv)  # a RuntimeWarning is raised here as an error
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert stderr.getvalue().splitlines()[-1].startswith(f"monodist {command}: ")
-            assert not list(d.glob("out*"))
+    files = {
+        other: csv_bytes(doc) if other == "s.csv" else json.dumps(doc).encode()
+        for other, doc in COMMANDS[command][1].items()
+    }
+    assert_exit_code_contract(command, {"img0.pfm": PFM, **files, name: payload})
+
+
+# each depth_kind with a valid 16x12 map of that kind; the metric one has a sensor hole
+PFMS = {
+    "disparity": PFM,
+    "depth": maps.write_pfm(maps.ScalarMap(16, 12, maps.MapKind.DEPTH, np.linspace(0, 80, 192))),
+}
+# tokens drawn in place of the magic, the width, the height or the scale
+PFM_TOKENS = st.sampled_from([
+    b"Pf", b"PF", b"P5", b"", b"0", b"-1", b"1", b"12", b"16", b"192", b"1e3", b"1.0", b"-0.0",
+    b"nan", b"inf", b"-inf", b"99999999999999999999", b"0x10", b"\xff",
+]) | st.binary(max_size=4)
+# float32 values drawn in place of one map value: the last is subnormal
+PFM_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0, 1.5, 3e38, 1e-45])
+
+
+@st.composite
+def changed_pfms(draw):
+    """A depth_kind and its PFM with one header token, the payload length or one value changed."""
+    kind = draw(st.sampled_from(sorted(PFMS)))
+    magic, dims, scale, payload = PFMS[kind].split(b"\n", 3)
+    tokens = [magic, *dims.split(), scale]
+    change = draw(st.sampled_from(["token", "length", "value"]))
+    if change == "token":
+        tokens[draw(st.integers(0, 3))] = draw(PFM_TOKENS)
+    elif change == "length":
+        k = draw(st.integers(1, 8))
+        payload = payload[:-k] if draw(st.booleans()) else payload + bytes(k)
+    else:
+        values = np.frombuffer(payload, "<f4").copy()
+        values[draw(st.integers(0, len(values) - 1))] = draw(PFM_VALUES)
+        payload = values.tobytes()
+    return kind, b"%s\n%s %s\n%s\n" % tuple(tokens) + payload
+
+
+@settings(max_examples=100, deadline=None)
+@given(changed_pfms())
+# a big-endian read of a little-endian payload, whose bytes hold a signalling NaN
+@example(("depth", PFMS["depth"].replace(b"\n-1.0\n", b"\n1\n", 1)))
+def test_predict_keeps_the_exit_code_contract_on_a_changed_pfm(changed):
+    kind, pfm = changed
+    files = {name: json.dumps(doc).encode() for name, doc in COMMANDS["predict"][1].items()}
+    config = {**PREDICT_CONFIG, "backend": {**PREDICT_CONFIG["backend"], "depth_kind": kind}}
+    assert_exit_code_contract("predict", {**files, "c.json": json.dumps(config).encode(),
+                                          "img0.pfm": pfm})
