@@ -215,6 +215,9 @@ def _cmd_evaluate(args) -> int:
         args.threshold,
     )
     Path(args.out).write_bytes(evaluate.serialize_report(report))
+    if enc := getattr(sys.stdout, "encoding", None):  # pad each name as printed, escaped by main()
+        names = [str(n.encode(enc, "backslashreplace"), enc) for n in report.pairs.columns[0]]
+        report = replace(report, pairs=report.pairs.columns._replace(class_name=names))
     print(evaluate.render_table(report), end="")
     return EXIT_OK
 

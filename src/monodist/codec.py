@@ -19,6 +19,10 @@ from .errors import DataError
 _flat = json.JSONEncoder().encode
 
 
+class _Table(dict):
+    """``{key: column}``, encoded as ``[dict(zip(table, row)) for row in zip(*table.values())]``."""
+
+
 def _dump(doc: dict) -> bytes:
     """Canonical record bytes: those of ``json.dumps(doc, indent=2)`` plus one newline."""
     return (_column([doc], "\n")[0] + "\n").encode("ascii")
@@ -28,8 +32,8 @@ def _column(values: list, nl: str) -> list[str]:
     """The ``json.dumps(indent=2)`` text of each value at margin ``nl`` (newline and indent).
 
     A column of one kind goes through C-level maps: finite floats and ints by ``repr``,
-    strings by json's quoting, the items of lists as one column, and dicts with the same
-    keys in the same order as one column per key. Other values go one at a time.
+    strings by json's quoting, the items of lists as one column, and same-keyed dicts
+    (same order) or `_Table` rows as one column per key. Other values go one at a time.
     """
     kinds, inner = set(map(type, values)), nl + "  "
     if kinds == {int} or kinds == {float} and math.isfinite(sum(values)):
@@ -39,17 +43,28 @@ def _column(values: list, nl: str) -> list[str]:
     if kinds == {list} and all(values):
         items = iter(_column(list(chain.from_iterable(values)), inner))
         return [f"[{inner}{(',' + inner).join(islice(items, len(v)))}{nl}]" for v in values]
+    if kinds == {_Table}:
+        rows = (_rows(t, list(t.values()), inner) for t in values)
+        return [f"[{inner}{(',' + inner).join(r)}{nl}]" if r else "[]" for r in rows]
     shapes = set(map(tuple, values)) if kinds == {dict} and all(values) else ()
     if len(shapes) == 1:
         keys = shapes.pop()
-        columns = [_column(list(map(itemgetter(k), values)), inner) for k in keys]
-        fields = (_flat({k: 0})[1:-4].replace("%", "%%") + ": %s" for k in keys)
-        return list(map(f"{{{inner}{(',' + inner).join(fields)}{nl}}}".__mod__, zip(*columns)))
+        return _rows(keys, [list(map(itemgetter(k), values)) for k in keys], nl)
     return [_value(v, nl) for v in values]
 
 
+def _rows(keys, columns: list[list], nl: str) -> list[str]:
+    """The text at margin ``nl`` of a dict of ``keys`` per row of ``columns``, by one template."""
+    inner = nl + "  "
+    texts = [_column(c, inner) for c in columns]
+    fields = (_flat({k: 0})[1:-4].replace("%", "%%") + ": %s" for k in keys)
+    return list(map(f"{{{inner}{(',' + inner).join(fields)}{nl}}}".__mod__, zip(*texts)))
+
+
 def _value(v, nl: str) -> str:
-    """One value of a mixed column; a non-empty container is a column of one."""
+    """One value of a mixed column; a table or a non-empty container is a column of one."""
+    if isinstance(v, _Table):
+        return _column([v], nl)[0]
     if not (isinstance(v, (list, tuple, dict)) and v):
         return _flat(v)
     return _column([dict(v) if isinstance(v, dict) else list(v)], nl)[0]

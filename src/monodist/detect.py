@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -68,7 +68,7 @@ class DetectionSet:
         d = self.detections
         if not isinstance(d, _Rows):
             columns = d if isinstance(d, Columns) else _columns(tuple(d))
-            object.__setattr__(self, "detections", _Rows(columns))
+            object.__setattr__(self, "detections", _Rows(columns, _records))
 
     @property
     def columns(self) -> Columns:
@@ -105,17 +105,17 @@ class Columns(NamedTuple):
 
 
 class _Rows(Sequence):
-    """The Detection records of `.det.json` columns, built when first read."""
+    """The records of a tuple of columns, built by `build` when first read; len() reads column 0."""
 
-    def __init__(self, columns: Columns):
-        self.columns = columns
+    def __init__(self, columns: tuple, build: Callable[[tuple], tuple]):
+        self.columns, self.build = columns, build
 
     @functools.cached_property
-    def records(self) -> tuple[Detection, ...]:
-        return _records(self.columns)
+    def records(self) -> tuple:
+        return self.build(self.columns)
 
     def __len__(self) -> int:
-        return len(self.columns.class_names)
+        return len(self.columns[0])
 
     def __getitem__(self, i):
         return self.records[i]

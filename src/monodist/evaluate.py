@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .codec import _decode, _dump
-from .detect import BoundingBox, _bbox_array, _bbox_list, _check_column, _floats, iou
+from .codec import _Table, _decode, _dump
+from .detect import BoundingBox, _bbox_array, _bbox_list, _check_column, _floats, _Rows, iou
 from .errors import DataError, DetectionFormatError
 from .roi import Columns, ObjectDistance, _distance_columns, decode_distances
 
@@ -40,14 +42,41 @@ class MatchedPair:
         object.__setattr__(self, "error", abs(self.predicted - self.truth))
 
 
+class _Pairs(NamedTuple):
+    """Matched pairs in report order, one list per report field."""
+
+    class_name: list[str]
+    truth_m: list[float]
+    predicted_m: list[float]
+    error_m: list[float]
+
+    def records(self) -> tuple[MatchedPair, ...]:
+        return tuple(map(MatchedPair, self.class_name, self.predicted_m, self.truth_m))
+
+
 @dataclass(frozen=True)
 class MetricsReport:
-    pairs: tuple[MatchedPair, ...]
+    """Scores of matched pairs, given as records or pair columns; records are built lazily."""
+
+    pairs: Sequence[MatchedPair]
     rmse: float
     accuracy: float
     threshold: float
     unmatched_predictions: int
     unmatched_truths: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", _pair_rows(self.pairs))
+
+
+def _pair_rows(pairs: Sequence[MatchedPair]) -> _Rows:
+    """Pair records or columns as the record view of their columns; records become columns once."""
+    if isinstance(pairs, _Rows):
+        return pairs
+    if not isinstance(pairs, _Pairs):
+        fields = ("class_name", "truth", "predicted", "error")
+        pairs = _Pairs(*(list(map(attrgetter(f), pairs)) for f in fields))
+    return _Rows(pairs, _Pairs.records)
 
 
 def predicted_distance(od: ObjectDistance) -> float:
@@ -61,17 +90,21 @@ def match_objects(
     """`match_columns` on prediction and ground-truth records."""
     boxes = _truth_boxes([None if gt.bbox is None else _bbox_list(gt.bbox) for gt in gts])
     truths = Columns([gt.class_name for gt in gts], boxes, _floats([gt.abs_distance for gt in gts]))
-    return match_columns(_distance_columns(preds), truths)
+    p = _distance_columns(preds)
+    rows = match_columns(p, truths)
+    pairs = [MatchedPair(p.class_names[i], p.distances[i], truths.distances[j]) for i, j in rows]
+    return pairs, len(preds) - len(pairs), len(gts) - len(pairs)
 
 
-def match_columns(p: Columns, g: Columns) -> tuple[list[MatchedPair], int, int]:
+def match_columns(p: Columns, g: Columns) -> list[tuple[int, int]]:
     """Pair predictions with ground truth per class.
 
     With GT boxes: greedy max-IoU matching, pairs above 0.5 IoU taken in
     descending order. Without GT boxes: predictions sorted by box center-x
     are paired against the GT list order (ground truth listed left to
-    right). Returns (pairs, unmatched predictions, unmatched truths);
-    classes never cross and no pair is fabricated.
+    right). Returns the (prediction row, truth row) of each pair, by class
+    name and then in match order; classes never cross and no pair is
+    fabricated.
     """
     shared = set(p.class_names) & set(g.class_names)
     no_box = np.isnan(g.boxes[:, 0]).tolist()
@@ -103,16 +136,14 @@ def match_columns(p: Columns, g: Columns) -> tuple[list[MatchedPair], int, int]:
                 used_gts.add(j)
                 matched.setdefault(p.class_names[i], []).append((i, j))
 
-    p_dist, g_dist = p.distances.tolist(), g.distances.tolist()
-    pairs = [MatchedPair(c, p_dist[i], g_dist[j]) for c in sorted(matched) for i, j in matched[c]]
-    return pairs, len(p_dist) - len(pairs), len(g_dist) - len(pairs)
+    return [ij for c in sorted(matched) for ij in matched[c]]
 
 
 def rmse(pairs: list[MatchedPair]) -> float:
     if not pairs:
         raise DataError("rmse of an empty pair list is undefined")
     try:
-        mean_square = sum(p.error**2 for p in pairs) / len(pairs)
+        mean_square = sum(e**2 for e in _pair_rows(pairs).columns.error_m) / len(pairs)
     except OverflowError:  # an error past about 1e154 squares beyond float64
         mean_square = math.inf
     if mean_square == math.inf:  # so also an infinite error, or squares summing past float64
@@ -126,7 +157,7 @@ def threshold_accuracy(pairs: list[MatchedPair], t: float) -> float:
         raise DataError("accuracy of an empty pair list is undefined")
     if not (t > 0 and math.isfinite(t)):
         raise DataError(f"threshold must be a positive finite distance, got {t}")
-    return sum(1 for p in pairs if p.error < t) / len(pairs)
+    return sum(1 for e in _pair_rows(pairs).columns.error_m if e < t) / len(pairs)
 
 
 def build_report(
@@ -135,14 +166,9 @@ def build_report(
     unmatched_truths: int,
     t: float = DEFAULT_ACCURACY_THRESHOLD_M,
 ) -> MetricsReport:
-    return MetricsReport(
-        pairs=tuple(pairs),
-        rmse=rmse(pairs),
-        accuracy=threshold_accuracy(pairs, t),
-        threshold=t,
-        unmatched_predictions=unmatched_predictions,
-        unmatched_truths=unmatched_truths,
-    )
+    pairs = _pair_rows(pairs)
+    scores = rmse(pairs), threshold_accuracy(pairs, t), t
+    return MetricsReport(pairs, *scores, unmatched_predictions, unmatched_truths)
 
 
 def evaluate_files(
@@ -158,15 +184,21 @@ def evaluate_files(
         for data in files:
             image, columns = decode(data)
             images.setdefault(image, ([], []))[side].append(columns)
-    pairs, unmatched_preds, unmatched_gts = [], 0, 0
+    names, predicted, truth, unmatched_preds, unmatched_gts = [], [], [], 0, 0
     for image in sorted(images):
-        got, up, ug = match_columns(*map(_concat, images[image]))
-        pairs += got
-        unmatched_preds += up
-        unmatched_gts += ug
-    if not pairs:
+        p, g = map(_concat, images[image])
+        rows = match_columns(p, g)
+        p_dist, g_dist = p.distances.tolist(), g.distances.tolist()
+        names += [p.class_names[i] for i, _ in rows]
+        predicted += [p_dist[i] for i, _ in rows]
+        truth += [g_dist[j] for _, j in rows]
+        unmatched_preds += len(p_dist) - len(rows)
+        unmatched_gts += len(g_dist) - len(rows)
+    if not names:
         raise DataError("no matched prediction/ground-truth pairs")
-    return build_report(pairs, unmatched_preds, unmatched_gts, t)
+    with np.errstate(over="ignore"):  # an infinite error is left to rmse, as abs() leaves it
+        error = np.abs(np.subtract(predicted, truth)).tolist()
+    return build_report(_Pairs(names, truth, predicted, error), unmatched_preds, unmatched_gts, t)
 
 
 def _concat(parts: list[Columns]) -> Columns:
@@ -230,25 +262,15 @@ def serialize_report(report: MetricsReport) -> bytes:
         "threshold_m": report.threshold,
         "unmatched_predictions": report.unmatched_predictions,
         "unmatched_truths": report.unmatched_truths,
-        "pairs": [
-            {
-                "class_name": p.class_name,
-                "truth_m": p.truth,
-                "predicted_m": p.predicted,
-                "error_m": p.error,
-            }
-            for p in report.pairs
-        ],
+        "pairs": _Table(report.pairs.columns._asdict()),
     })
 
 
 def render_table(report: MetricsReport) -> str:
     """Plain-text per-object table; values rounded to 2 decimals here only."""
     headers = ("Object", "Absolute distance (m)", "Predicted distance (m)", "Error (m)")
-    columns = [[p.class_name for p in report.pairs]] + [
-        list(map("{:.2f}".format, map(attrgetter(name), report.pairs)))
-        for name in ("truth", "predicted", "error")
-    ]
+    names, *values = report.pairs.columns
+    columns = [names, *(list(map("{:.2f}".format, v)) for v in values)]
     widths = [max(map(len, (h, *c))) for h, c in zip(headers, columns)]
     # the last column is left unpadded: a rounded number never ends in a space
     row = "  ".join([*(f"{{:{w}}}" for w in widths[:-1]), "{}"])

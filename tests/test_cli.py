@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -12,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import checkout_env
-from monodist import cli
+from monodist import cli, evaluate
 from monodist.calib import REFERENCE_COEFFS, CalibrationModel, serialize_model
 from monodist.detect import BoundingBox, Detection, DetectionSet, serialize_detections
 from monodist.errors import BackendError
@@ -384,6 +387,30 @@ class TestEvaluate:
         assert doc["rmse_m"] < 1e-3
         assert doc["accuracy"] == 1.0
 
+    def test_evaluate_builds_no_pair_records(self, tmp_path, monkeypatch):
+        """Report and table come from pair columns; a MatchedPair is built only when read."""
+        objects = [SceneObject(cls, 5.0 + k, BoundingBox(4 * k, 2, 4 * k + 3, 40))
+                   for k, cls in enumerate(["car", "café", "person"] * 5)]
+        data = synth_inputs(tmp_path, objects)
+        dist = tmp_path / "img0.dist.json"
+        cfg = files_config(tmp_path, data)
+        assert run(f"predict --config {cfg} --image-id img0 --out {dist}") == 0
+        built = []
+        post_init = evaluate.MatchedPair.__post_init__
+        monkeypatch.setattr(evaluate.MatchedPair, "__post_init__",
+                            lambda pair: built.append(pair) or post_init(pair))
+        argv = ["evaluate", "--pred", str(dist), "--gt", f"{data}/img0.gt.json",
+                "--out", str(tmp_path / "report.json")]
+        sink = io.StringIO()  # no encoding: the names are printed as they are
+        with contextlib.redirect_stdout(sink):
+            assert run(argv) == 0
+        files = [dist.read_bytes()], [(data / "img0.gt.json").read_bytes()]
+        report = evaluate.evaluate_files(*files)
+        assert len(report.pairs) == 15
+        assert sink.getvalue() == evaluate.render_table(report) and "café" in sink.getvalue()
+        assert built == []
+        assert list(report.pairs) == list(report.pairs) and len(built) == 15  # built once, on read
+
 
 class TestSynthCommand:
     def test_writes_three_files(self, tmp_path):
@@ -609,3 +636,27 @@ def test_non_ascii_class_names_under_a_c_locale(tmp_path):
         outputs[name] = [(tmp_path / f"{name}{ext}").read_bytes() for ext in (".svg", ".json")]
     assert "café".encode() in outputs["utf8"][0]
     assert outputs["c"] == outputs["utf8"]
+
+
+def test_evaluate_table_aligns_names_escaped_for_an_ascii_locale(tmp_path):
+    """Under an ASCII locale the table pads `caf\\xe9` as printed; report.json keeps `café`."""
+    objects = [
+        {"class_name": name, "confidence": 0.9, "bbox": [x, 0, x + 10, 10], "rev_m": rev,
+         "abs_m": None}
+        for name, x, rev in [("café", 0, 5.0), ("car", 20, 7.0)]
+    ]
+    (tmp_path / "p.json").write_text(json.dumps({"image": "img", "objects": objects}))
+    gts = [{"class_name": o["class_name"], "abs_m": o["rev_m"] + 0.5, "bbox": o["bbox"]}
+           for o in objects]
+    (tmp_path / "g.json").write_text(json.dumps({"image": "img", "objects": gts}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "monodist.cli", "evaluate", "--pred", "p.json", "--gt", "g.json",
+         "--out", "r.json"], cwd=tmp_path, capture_output=True, timeout=120,
+        env={**checkout_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    table = proc.stdout.decode("ascii").splitlines()[:4]  # header, rule and the two pairs
+    assert table[2].startswith("caf\\xe9  ") and table[3].startswith("car  ")
+    assert len({len(re.match(r"\S+ +", line).group()) for line in table}) == 1, table
+    names = [p["class_name"] for p in json.loads((tmp_path / "r.json").read_text())["pairs"]]
+    assert names == ["café", "car"]

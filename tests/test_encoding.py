@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_render_table
-from monodist.codec import _dump
+from monodist.codec import _dump, _Table
 from monodist.evaluate import MatchedPair, MetricsReport, render_table
 
 KEYS = st.text(st.characters(codec="utf-8") | st.sampled_from('%"\\\x00\x1f\x7f é😀'), max_size=5)
@@ -48,6 +48,43 @@ def containers(children):
 @given(st.recursive(SCALARS, containers, max_leaves=40))
 def test_dump_is_json_dumps_with_indent_2(doc):
     assert _dump(doc) == (json.dumps(doc, indent=2) + "\n").encode()
+
+
+def rows_of(doc):
+    """The document a `_Table` stands for: each table becomes its list of row dicts."""
+    if isinstance(doc, _Table):
+        return [dict(zip(doc, map(rows_of, row))) for row in zip(*doc.values())]
+    if isinstance(doc, dict):
+        return {k: rows_of(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return list(map(rows_of, doc))
+    return doc
+
+
+@st.composite
+def tables(draw, children):
+    """A `_Table` of up to 4 rows; each column holds one kind of value, or drawn children."""
+    keys = draw(st.lists(KEYS, max_size=4, unique=True))
+    n = draw(st.integers(0, 4))
+    kinds = st.sampled_from([FLOATS, KEYS, st.integers(-(2**70), 2**70), children])
+    return _Table({k: draw(st.lists(draw(kinds), min_size=n, max_size=n)) for k in keys})
+
+
+@settings(max_examples=300)
+@given(st.recursive(SCALARS | tables(SCALARS), lambda c: containers(c) | tables(c), max_leaves=30))
+def test_dump_of_tables_is_json_dumps_of_their_rows(doc):
+    assert _dump(doc) == (json.dumps(rows_of(doc), indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("doc", [
+    {"pairs": _Table()},
+    {"pairs": _Table(class_name=[], error_m=[])},
+    {"pairs": _Table({"%s": ["café", "自行车"], '"q"': [math.nan, -math.inf], "%%": [1, 0.5]})},
+    [_Table(a=[1.0]), 2, [_Table(), _Table(b=[[]])]],  # tables in mixed columns
+    [{"t": _Table(x=[1.5, 2.5])}, {"t": _Table(x=[])}],  # a column of tables
+])
+def test_dump_edge_tables(doc):
+    assert _dump(doc) == (json.dumps(rows_of(doc), indent=2) + "\n").encode()
 
 
 @pytest.mark.parametrize("doc", [

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from monodist.evaluate import (
     GroundTruthObject,
     MatchedPair,
     build_report,
+    evaluate_files,
     match_objects,
     parse_ground_truth,
     predicted_distance,
@@ -19,7 +22,7 @@ from monodist.evaluate import (
     serialize_report,
     threshold_accuracy,
 )
-from monodist.roi import ObjectDistance
+from monodist.roi import ObjectDistance, serialize_distances
 
 
 def pred(class_name, distance, x0=0.0, y0=0.0, x1=10.0, y1=10.0, calibrated=True):
@@ -319,3 +322,50 @@ class TestMatchObjectsMatchesReference:
         gts = [GroundTruthObject("car", 5.0, bbox=BoundingBox(0, 0, 10, 10))]
         for preds, g in (([], []), ([pred("car", 5.0)], []), ([], gts)):
             assert match_objects(preds, g) == reference_match_objects(preds, g)
+
+
+# ---- pair records against pair columns ----------------------------------------
+
+NAMES = st.text(min_size=1, max_size=12) | st.sampled_from(["car", "café", "自行车"])
+PREDICTED = st.floats(-50.0, 1e4) | st.sampled_from([-0.0, 5e-324, 999.995, 1e150])
+TRUTHS = st.floats(1e-3, 1e4) | st.sampled_from([5e-324, 0.004, 1e150])
+# an infinite error, and an error that squares past float64
+OVERFLOWS = st.none() | st.sampled_from([("car", -1e308, 1e308), ("car", 1e200, 1.0)])
+
+
+def outcome(build):
+    try:
+        return build()
+    except DataError as e:
+        return str(e)
+
+
+@given(st.lists(st.tuples(NAMES, PREDICTED, TRUTHS), min_size=1, max_size=12), OVERFLOWS,
+       st.floats(0.01, 10.0))
+def test_report_from_columns_equals_report_from_records(rows, overflow, t):
+    """`evaluate_files` (pair columns) and `build_report` on MatchedPair records agree."""
+    rows = rows if overflow is None else [*rows, overflow]
+    pairs = [MatchedPair(name, predicted, truth) for name, predicted, truth in rows]
+    pred_files, gt_files = [], []
+    for k, (name, predicted, truth) in enumerate(rows):  # one image per pair keeps their order
+        det = Detection(0, name, 0.9, BoundingBox(0, 0, 10, 10))
+        pred_files.append(serialize_distances(f"im{k:03d}", [ObjectDistance(det, 1.0, predicted)]))
+        gt_files.append(serialize_ground_truth(f"im{k:03d}", [GroundTruthObject(name, truth)]))
+    by_records = outcome(lambda: build_report(pairs, 0, 0, t))
+    by_columns = outcome(lambda: evaluate_files(pred_files, gt_files, t))
+    if isinstance(by_records, str):  # an error past float64: the same DataError
+        assert by_columns == by_records
+        return
+    assert serialize_report(by_columns) == serialize_report(by_records)
+    assert render_table(by_columns) == render_table(by_records)
+    assert by_columns == by_records and hash(by_columns) == hash(by_records)
+    assert repr(by_columns) == repr(by_records)
+    # the row-wise sums, bit for bit
+    mean_square = sum(p.error**2 for p in pairs) / len(pairs)
+    accuracy = sum(1 for p in pairs if p.error < t) / len(pairs)
+    for report in (by_columns, by_records):
+        assert report.rmse.hex() == math.sqrt(mean_square).hex() == rmse(pairs).hex()
+        assert report.accuracy.hex() == accuracy.hex() == threshold_accuracy(pairs, t).hex()
+    # the record view reads as the tuple of records it stands for
+    assert by_columns.pairs == tuple(pairs) and hash(by_columns.pairs) == hash(tuple(pairs))
+    assert repr(by_columns.pairs) == repr(tuple(pairs)) and list(by_columns.pairs) == pairs
