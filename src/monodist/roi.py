@@ -111,20 +111,26 @@ def median_depth(depth: ScalarMap, rect: IndexRect) -> float:
     return _median_depth(window, None)
 
 
-def _median_depth(values: np.ndarray, depth_range: DepthRange | None) -> float:
+def _median_depth(values: np.ndarray, depth_range: DepthRange | None, holes=False) -> float | None:
     """Median depth of a non-empty window of disparity (with depth_range) or depth values.
 
-    disparity->depth is monotone, so the middle element(s) are selected in
-    the map's own space and only they are converted to float64 depth. An
-    even count averages the two middles in float64, as ``np.median`` does.
+    The window is sorted once. With `holes`, zero or negative depths (sensor
+    holes) sort first and are skipped; a window of holes only gives None.
+    disparity->depth is monotone, so the middle element(s) are taken in the
+    map's own space and only they are converted to float64 depth. An even
+    count averages the two middles in float64, as ``np.median`` does.
     """
-    n = values.size
-    lo, hi = (n - 1) // 2, n // 2
-    middles = np.partition(values, (lo, hi), axis=None)[lo : hi + 1]
+    s = np.sort(values, axis=None)
+    if holes and s[0] <= 0.0:
+        s = s[np.searchsorted(s, 0.0, side="right") :]
+        if s.size == 0:
+            return None
+    n = s.size
+    middles = s[(n - 1) // 2 : n // 2 + 1]
     if depth_range is not None:
         middles = disparity_to_depth_value(middles, depth_range)
     m = middles.tolist()  # Python floats: float64 arithmetic without np.mean's overhead
-    return (m[0] + m[1]) / 2 if hi > lo else m[0]
+    return (m[0] + m[1]) / 2 if len(m) > 1 else m[0]
 
 
 def measure_columns(
@@ -141,13 +147,11 @@ def measure_columns(
     never aborts the whole image. The measured detections come back in
     order, with `rev` set to REV and `distances` to ABS (REV without a model).
     """
-    holes = False
     if depth.kind is MapKind.DISPARITY:
         if depth_range is None:
             raise DataError("pooling a disparity map needs a depth range")
     else:
         depth_range = None  # metric depth needs no conversion
-        holes = float(depth.values.min()) <= 0.0
     map_dims = (depth.width, depth.height)
     boxes = dets.columns.boxes
     rev = np.full(len(boxes), math.nan)
@@ -158,12 +162,11 @@ def measure_columns(
             failed[i] = _EMPTY_RECT.format(BoundingBox(*boxes[i].tolist()), *map_dims)
             continue
         window = depth.values[row0:row1, col0:col1]
-        if holes:
-            window = window[window > 0]
-            if window.size == 0:
-                failed[i] = f"no positive depth in {IndexRect(col0, row0, col1, row1)}"
-                continue
-        rev[i] = _median_depth(window, depth_range)
+        median = _median_depth(window, depth_range, holes=depth_range is None)
+        if median is None:
+            failed[i] = f"no positive depth in {IndexRect(col0, row0, col1, row1)}"
+        else:
+            rev[i] = median
     failing = dets.take(np.array(list(failed), dtype=np.intp)).detections
     failures = [RoiFailure(d, reason) for d, reason in zip(failing, failed.values())]
     measured = np.flatnonzero(~np.isnan(rev))

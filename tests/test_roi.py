@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from monodist.detect import BoundingBox, Detection, DetectionSet
 from monodist.errors import DataError, DegenerateRoiError
-from monodist.maps import DepthRange, MapKind, ScalarMap, disparity_to_depth
+from monodist.maps import DepthRange, MapKind, ScalarMap, disparity_to_depth, read_pfm
 from monodist.roi import (
     IndexRect,
     ObjectDistance,
+    measure_columns,
     measure_objects,
     median_depth,
     parse_distances,
@@ -142,6 +143,14 @@ class TestMedianDepth:
             expect = flat[n // 2] if n % 2 else (flat[n // 2 - 1] + flat[n // 2]) / 2
             assert median_depth(m, rect) == expect
 
+    def test_holes_count_in_the_public_median(self):
+        # zero, negative zero and negative pixels are values like any other here
+        m = depth_map([[-2.0, 0.0, -0.0, 4.0, 6.0], [-1.0, -0.0, 0.0, 8.0, 9.0]])
+        assert median_depth(m, IndexRect(0, 0, 5, 1)) == 0.0
+        assert median_depth(m, IndexRect(0, 0, 5, 2)) == 0.0
+        assert median_depth(m, IndexRect(0, 0, 2, 2)) == -0.5
+        assert median_depth(m, IndexRect(2, 0, 4, 2)) == 2.0
+
 
 class TestMeasureObjects:
     def test_constant_plane(self):
@@ -256,3 +265,62 @@ class TestPooling:
         assert [(o.detection, o.rev) for o in objs] == [(first, 20.0)]
         assert [f.detection for f in fails] == [second]
         assert "no positive depth" in fails[0].reason
+
+
+def pfm_stream(grid, big_endian, pad):
+    """A PFM stream of a top-first float32 grid; `pad` trailing zeros on the scale shift the payload."""
+    h, w = grid.shape
+    scale = ("1." if big_endian else "-1.") + "0" * pad
+    dtype = ">f4" if big_endian else "<f4"
+    return f"Pf\n{w} {h}\n{scale}\n".encode() + grid[::-1].astype(dtype).tobytes()
+
+
+@st.composite
+def decoded_metric_windows(draw):
+    """Bench-scale metric windows, decoded from a PFM stream, with ties and sensor holes.
+
+    The pixels come from a seeded generator, so windows up to 64x64 stay cheap
+    to draw. A share of them repeat a few values (ties), and a share are holes:
+    0.0, -0.0 or negative depth. The decoded map is a reversed-row view of the
+    stream, unaligned for some header lengths and byte-swapped for a
+    big-endian stream.
+    """
+    h, w = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    tie_share = draw(st.sampled_from([0.0, 0.5, 0.95]))
+    hole_share = draw(st.sampled_from([0.0, 0.1, 0.6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.uniform(0.125, 100.0, (h, w)).astype(np.float32)
+    grid = np.where(rng.random((h, w)) < tie_share, rng.choice([2.0, 7.5, 40.0], (h, w)), grid)
+    holes = rng.choice(np.array([0.0, -0.0, -1.0, -1e-30, -80.0], np.float32), (h, w))
+    grid = np.where(rng.random((h, w)) < hole_share, holes, grid).astype(np.float32)
+    c0, r0 = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+    rect = IndexRect(c0, r0, draw(st.integers(c0 + 1, w)), draw(st.integers(r0 + 1, h)))
+    stream = pfm_stream(grid, draw(st.booleans()), draw(st.integers(0, 3)))
+    return grid, read_pfm(stream, MapKind.DEPTH), rect
+
+
+class TestBenchScalePooling:
+    @given(decoded_metric_windows())
+    def test_rev_is_the_median_of_the_positive_pixels(self, drawn):
+        grid, m, rect = drawn
+        assert np.array_equal(m.values, grid)
+        box = det(rect.col0, rect.row0, rect.col1, rect.row1)
+        objects, fails = measure_columns(m, DetectionSet("img", m.width, m.height, (box,)))
+        window = grid[rect.row0 : rect.row1, rect.col0 : rect.col1].astype(np.float64)
+        positive = window[window > 0]
+        if positive.size:
+            assert fails == []
+            assert objects.rev.tolist() == [float(np.median(positive))]
+        else:
+            assert len(objects.rev) == 0
+            assert [(f.detection, f.reason) for f in fails] == [(box, f"no positive depth in {rect}")]
+        # the public median keeps every pixel, holes included
+        assert median_depth(m, rect) == float(np.median(window))
+
+    def test_streams_decode_to_unaligned_and_byte_swapped_views(self):
+        grid = np.arange(1, 7, dtype=np.float32).reshape(2, 3)
+        views = [read_pfm(pfm_stream(grid, be, pad), MapKind.DEPTH).values
+                 for be in (False, True) for pad in range(4)]
+        assert {v.dtype.isnative for v in views} == {True, False}
+        assert {v.flags.aligned for v in views} == {True, False}
+        assert all(v.strides[0] < 0 for v in views)
