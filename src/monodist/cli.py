@@ -48,20 +48,26 @@ class BackendConfig:
     det: Path | str
     depth_kind: maps.MapKind = maps.MapKind.DISPARITY
 
-    def fetch_depth_bytes(self, image_id: str) -> bytes:
+    def fetch_depth_bytes(self, image_id: str) -> bytes | np.ndarray:
         return self._fetch(self.depth, image_id, ".pfm", "depth map")
 
     def fetch_detection_bytes(self, image_id: str) -> bytes:
         return self._fetch(self.det, image_id, ".det.json", "detections")
 
-    def _fetch(self, source: Path | str, image_id: str, suffix: str, what: str) -> bytes:
+    def _fetch(
+        self, source: Path | str, image_id: str, suffix: str, what: str
+    ) -> bytes | np.ndarray:
         if not _IMAGE_ID.fullmatch(image_id):
             raise BackendError(f"bad image id {image_id!r}, expected {_IMAGE_ID.pattern}")
         if self.mode is BackendMode.FILES:
             path = source / f"{image_id}{suffix}"
             if not path.is_file():
                 raise BackendError(f"missing {what} {path}")
-            return path.read_bytes()
+            if suffix != ".pfm":
+                return path.read_bytes()  # json.loads takes bytes or str, not a buffer
+            # a PFM payload is the file's tail and a multiple of 4 bytes, so its view is aligned
+            with path.open("rb", buffering=0) as f:
+                return _read_end_aligned(f)
         cmd = source.format(image_id=image_id)
         proc = subprocess.run(cmd, shell=True, capture_output=True)
         if proc.returncode != 0:
@@ -70,6 +76,19 @@ class BackendConfig:
                 f"{proc.stderr.decode(errors='replace').strip()}"
             )
         return proc.stdout
+
+
+def _read_end_aligned(f) -> np.ndarray:
+    """Read a raw file to EOF into a read-only uint8 array that ends on a 64-byte boundary."""
+    size = os.fstat(f.fileno()).st_size
+    buf = np.empty(size + 63, np.uint8)
+    start = -(buf.ctypes.data + size) % 64
+    view, n = memoryview(buf)[start : start + size], 0
+    while k := f.readinto(view[n:]):  # one read stops near 2 GiB on Linux
+        n += k
+    out = buf[start : start + n]  # a file cut short after fstat keeps its shorter length
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)

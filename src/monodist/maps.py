@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,40 +68,45 @@ class ScalarMap:
         vals = vals.reshape(self.height, self.width).view()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        # NaN propagates through min/max and +-inf shows up in one of them
-        lo, hi = float(vals.min()), float(vals.max())
+        # NaN propagates through min/max and +-inf shows up in one of them; rows are
+        # read in memory order, as a reversed view (a PFM's) takes numpy's slow path
+        forward = vals[::-1] if vals.strides[0] < 0 else vals
+        lo, hi = float(forward.min()), float(forward.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DataError("map contains non-finite values")
         if self.kind is MapKind.DISPARITY and (lo < 0.0 or hi > 1.0):
             raise DataError(f"disparity values outside [0, 1]: min={lo}, max={hi}")
 
 
-def read_pfm(data: bytes, kind: MapKind = MapKind.DISPARITY) -> ScalarMap:
-    """Decode a grayscale PFM byte stream.
+_PFM_HEADER = re.compile(rb"([^\n]*)\n([^\n]*)\n([^\n]*)\n")
+
+
+def read_pfm(
+    data: bytes | bytearray | memoryview | np.ndarray, kind: MapKind = MapKind.DISPARITY
+) -> ScalarMap:
+    """Decode a grayscale PFM stream from any contiguous bytes-like object.
 
     The file stores rows bottom-first; the returned map is top-first. The
     stream, of either byte order, decodes to a float32 view of ``data`` with
-    no copy. Color (``PF``) streams are rejected.
+    no copy; the view is aligned when the buffer ends on a 4-byte boundary.
+    Color (``PF``) streams are rejected.
     """
-    try:
-        magic_end = data.index(b"\n")
-        dims_end = data.index(b"\n", magic_end + 1)
-        scale_end = data.index(b"\n", dims_end + 1)
-    except ValueError:
-        raise PfmFormatError("truncated PFM header") from None
+    header = _PFM_HEADER.match(data)
+    if header is None:
+        raise PfmFormatError("truncated PFM header")
 
-    magic = data[:magic_end]
+    magic, dims, scale = header.groups()
     if magic == b"PF":
         raise PfmFormatError("color PFM (PF) not supported, expected grayscale Pf")
     if magic != b"Pf":
         raise PfmFormatError(f"bad PFM magic {magic!r}")
 
-    dims = data[magic_end + 1 : dims_end].split()
+    dims = dims.split()
     if len(dims) != 2:
         raise PfmFormatError("malformed PFM dimension line")
     try:
         width, height = int(dims[0]), int(dims[1])
-        scale = float(data[dims_end + 1 : scale_end])
+        scale = float(scale)
     except ValueError:
         raise PfmFormatError("malformed PFM header fields") from None
     if width <= 0 or height <= 0:
@@ -109,13 +115,13 @@ def read_pfm(data: bytes, kind: MapKind = MapKind.DISPARITY) -> ScalarMap:
     if scale == 0.0 or not math.isfinite(scale):
         raise PfmFormatError(f"PFM scale must be finite and non-zero, got {scale}")
 
-    payload_len = len(data) - (scale_end + 1)
+    payload_len = memoryview(data).nbytes - header.end()
     expected = width * height * 4
     if payload_len != expected:
         raise PfmFormatError(f"PFM payload is {payload_len} bytes, expected {expected}")
 
     dtype = "<f4" if scale < 0 else ">f4"
-    vals = np.frombuffer(data, dtype=dtype, offset=scale_end + 1).reshape(height, width)
+    vals = np.frombuffer(data, dtype=dtype, offset=header.end()).reshape(height, width)
     try:
         # PFM stores the bottom row first
         return ScalarMap(width=width, height=height, kind=kind, values=vals[::-1])

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -18,8 +19,8 @@ from conftest import checkout_env
 from monodist import cli, evaluate
 from monodist.calib import REFERENCE_COEFFS, CalibrationModel, serialize_model
 from monodist.detect import BoundingBox, Detection, DetectionSet, serialize_detections
-from monodist.errors import BackendError
-from monodist.maps import MapKind, ScalarMap, write_pfm
+from monodist.errors import BackendError, PfmFormatError
+from monodist.maps import MapKind, ScalarMap, read_pfm, write_pfm
 from monodist.roi import ObjectDistance, parse_distances, serialize_distances
 from monodist.synth import SceneObject, SceneSpec, serialize_scene
 
@@ -536,6 +537,56 @@ class TestPredictPooling:
         assert proc.returncode == 0, proc.stderr
 
 
+class TrickleFile(io.FileIO):
+    """A raw file whose every read returns at most 7 bytes."""
+
+    def readinto(self, b):
+        return super().readinto(memoryview(b)[:7])
+
+
+class TestDepthReader:
+    def test_reads_of_a_few_bytes_decode_like_one_read(self, tmp_path):
+        data = synth_inputs(tmp_path)
+        path = data / "img0.pfm"
+        with TrickleFile(path) as f:
+            trickled = cli._read_end_aligned(f)
+        with open(path, "rb", buffering=0) as f:
+            whole = cli._read_end_aligned(f)
+        assert trickled.tobytes() == whole.tobytes() == path.read_bytes()
+        m = read_pfm(trickled)
+        assert m.values.flags.aligned and not trickled.flags.writeable
+        assert np.array_equal(m.values, read_pfm(path.read_bytes()).values)
+
+    def test_a_file_cut_after_its_size_is_read_keeps_only_what_was_read(self, tmp_path):
+        class CutFile(io.FileIO):  # EOF at byte 100, whatever fstat said
+            def readinto(self, b):
+                return super().readinto(memoryview(b)[: 100 - self.tell()])
+
+        path = synth_inputs(tmp_path) / "img0.pfm"
+        with CutFile(path) as f:
+            cut = cli._read_end_aligned(f)
+        assert cut.tobytes() == path.read_bytes()[:100]
+        with pytest.raises(PfmFormatError, match=r"^PFM payload is \d+ bytes, expected 12288$"):
+            read_pfm(cut)
+
+    @pytest.mark.parametrize("keep", ["nothing", "header and 100 payload bytes"])
+    def test_a_short_depth_map_exit_2(self, tmp_path, capsys, keep):
+        data = synth_inputs(tmp_path)
+        pfm = (data / "img0.pfm").read_bytes()
+        payload = 64 * 48 * 4
+        if keep == "nothing":
+            cut, message = b"", "truncated PFM header"
+        else:
+            cut = pfm[: len(pfm) - payload + 100]
+            message = f"PFM payload is 100 bytes, expected {payload}"
+        (data / "img0.pfm").write_bytes(cut)
+        cfg = files_config(tmp_path, data)
+        out = tmp_path / "img0.dist.json"
+        assert run(f"predict --config {cfg} --image-id img0 --out {out}") == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_import_leaves_out_xml_sax():
     # xml.sax.saxutils pulls in urllib.request, tens of ms of every cold command
     proc = run_python(
@@ -562,9 +613,14 @@ def test_fetch_reads_only_inside_its_directory_and_quotes_nothing(tmp_path_facto
         commands.append(cmd)
         return subprocess.CompletedProcess(cmd, 0, b"", b"")
 
+    def open_file(path, *args, **kwargs):  # a depth map is read through an open raw file
+        reads.append(path)
+        return open(os.devnull, "rb", buffering=0)
+
     with (
         mock.patch.object(Path, "is_file", return_value=True),
         mock.patch.object(Path, "read_bytes", autospec=True, side_effect=reads.append),
+        mock.patch.object(Path, "open", autospec=True, side_effect=open_file),
         mock.patch.object(subprocess, "run", side_effect=shell),
     ):
         for backend in backends:

@@ -505,3 +505,57 @@ def test_predict_keeps_the_exit_code_contract_on_a_changed_pfm(changed):
     config = {**PREDICT_CONFIG, "backend": {**PREDICT_CONFIG["backend"], "depth_kind": kind}}
     assert_exit_code_contract("predict", {**files, "c.json": json.dumps(config).encode(),
                                           "img0.pfm": pfm})
+
+
+def pfm_with_header(grid, big_endian, length):
+    """A PFM of a top-first grid whose header is `length` bytes long: the scale is padded."""
+    head = b"Pf\n%d %d\n" % (grid.shape[1], grid.shape[0])
+    scale = b"1." if big_endian else b"-1."
+    scale += b"0" * (length - len(head) - len(scale) - 1) + b"\n"
+    return head + scale + grid[::-1].astype(">f4" if big_endian else "<f4").tobytes()
+
+
+@st.composite
+def pfm_streams(draw):
+    """A depth_kind and a PFM: one changed as above, or a valid one of 17 to 20 header bytes."""
+    if draw(st.booleans()):
+        return draw(changed_pfms())
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    grid = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((h, w))
+    pfm = pfm_with_header(grid, draw(st.booleans()), draw(st.integers(17, 20)))
+    return draw(st.sampled_from(sorted(PFMS))), pfm
+
+
+def decode_pfm(data, kind):
+    """The map `read_pfm` decodes from `data`, or the message of its PfmFormatError."""
+    try:
+        return maps.read_pfm(data, maps.MapKind(kind))
+    except PfmFormatError as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pfm_streams())
+# each header length, so each offset of the payload from the buffer's start
+@example(("depth", pfm_with_header(np.ones((1, 1)), False, 17)))
+@example(("depth", pfm_with_header(np.ones((1, 1)), True, 18)))
+@example(("disparity", pfm_with_header(np.zeros((3, 2)), False, 19)))
+@example(("disparity", pfm_with_header(np.zeros((3, 2)), True, 20)))
+def test_every_buffer_type_decodes_a_pfm_alike(tmp_path_factory, drawn):
+    kind, pfm = drawn
+    frames = tmp_path_factory.getbasetemp() / "buffers"
+    frames.mkdir(exist_ok=True)
+    (frames / "img0.pfm").write_bytes(pfm)
+    backend = cli.BackendConfig(cli.BackendMode.FILES, frames, frames)
+    end_aligned = backend.fetch_depth_bytes("img0")
+    first, *others = (
+        decode_pfm(data, kind) for data in (pfm, bytearray(pfm), memoryview(pfm), end_aligned)
+    )
+    if isinstance(first, str):
+        assert others == [first] * 3
+        return
+    for m in others:
+        assert (m.width, m.height, m.kind) == (first.width, first.height, first.kind)
+        assert m.values.dtype == first.values.dtype
+        assert m.values.tobytes() == first.values.tobytes()
+    assert others[-1].values.flags.aligned

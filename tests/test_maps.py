@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,30 @@ def test_depth_range_validation():
         DepthRange(0.0, 100.0)
     with pytest.raises(DataError):
         DepthRange(5.0, 5.0)
+
+
+class TestReversedViewCheck:
+    """A map built on a reversed-row view, as a PFM's is, is checked in every row."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("row", [0, -1], ids=["top", "bottom"])
+    @pytest.mark.parametrize("kind", list(MapKind))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+    def test_a_bad_value_in_one_edge_row_is_found(self, dtype, row, kind, bad):
+        grid = np.full((5, 3), 0.5, dtype)
+        grid[row, 1] = bad
+        arr = grid[::-1].copy()  # bottom row first, as stored in a PFM
+        if math.isfinite(bad):
+            if kind is MapKind.DEPTH:  # any finite depth passes the check
+                ScalarMap(width=3, height=5, kind=kind, values=arr[::-1])
+                return
+            lo, hi = float(min(dtype(bad), 0.5)), float(max(dtype(bad), 0.5))
+            message = f"disparity values outside [0, 1]: min={lo}, max={hi}"
+        else:
+            message = "map contains non-finite values"
+        with pytest.raises(DataError) as e:
+            ScalarMap(width=3, height=5, kind=kind, values=arr[::-1])
+        assert str(e.value) == message
 
 
 class TestPfmView:
