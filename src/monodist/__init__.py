@@ -1,38 +1,33 @@
-"""Per-object absolute distance from monocular depth maps and object detections."""
+"""Per-object absolute distance from monocular depth maps and object detections.
 
-from .calib import CalibrationModel, CalibrationSample, fit_quadratic
-from .detect import BoundingBox, Detection, DetectionSet, filter_confidence, iou, nms
-from .evaluate import GroundTruthObject, MatchedPair, MetricsReport, match_objects
-from .maps import DepthRange, MapKind, ScalarMap, disparity_to_depth, read_pfm, write_pfm
-from .roi import IndexRect, ObjectDistance, measure_objects, median_depth, project_bbox
-from .synth import SceneObject, SceneSpec, render_scene
+Each public name loads its submodule on first access, so `import monodist`
+(and every `monodist.cli` command) imports only the modules it uses.
+"""
 
-__all__ = [
-    "BoundingBox",
-    "CalibrationModel",
-    "CalibrationSample",
-    "DepthRange",
-    "Detection",
-    "DetectionSet",
-    "GroundTruthObject",
-    "IndexRect",
-    "MapKind",
-    "MatchedPair",
-    "MetricsReport",
-    "ObjectDistance",
-    "ScalarMap",
-    "SceneObject",
-    "SceneSpec",
-    "disparity_to_depth",
-    "filter_confidence",
-    "fit_quadratic",
-    "iou",
-    "match_objects",
-    "measure_objects",
-    "median_depth",
-    "nms",
-    "project_bbox",
-    "read_pfm",
-    "render_scene",
-    "write_pfm",
-]
+import importlib
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "calib": "CalibrationModel CalibrationSample fit_quadratic",
+        "detect": "BoundingBox Detection DetectionSet filter_confidence iou nms",
+        "evaluate": "GroundTruthObject MatchedPair MetricsReport match_objects",
+        "maps": "DepthRange MapKind ScalarMap disparity_to_depth read_pfm write_pfm",
+        "roi": "IndexRect ObjectDistance measure_objects median_depth project_bbox",
+        "synth": "SceneObject SceneSpec render_scene",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

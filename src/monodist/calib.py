@@ -1,7 +1,6 @@
 """Quadratic relative->absolute distance calibration: Y = (c0 + c1*X + c2*X^2) * h."""
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -127,6 +126,8 @@ def deserialize_model(data: bytes | str) -> CalibrationModel:
 
 def read_samples_csv(data: bytes | str) -> list[CalibrationSample]:
     """Read calibration samples from CSV with header `x_m,y_abs_m`."""
+    import csv  # only calibrate reads samples
+
     try:
         reader = csv.DictReader(io.StringIO(data.decode() if isinstance(data, bytes) else data))
         rows = list(reader)  # the header first

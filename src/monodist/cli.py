@@ -11,15 +11,13 @@ import enum
 import functools
 import os
 import re
-import subprocess
 import sys
 from dataclasses import dataclass, field, replace
-from html import escape
 from pathlib import Path
 
 import numpy as np
 
-from . import calib, detect, evaluate, maps, roi, synth
+from . import calib, detect, maps, roi
 from .codec import _decode
 from .errors import BackendError, DataError
 
@@ -68,6 +66,8 @@ class BackendConfig:
             # a PFM payload is the file's tail and a multiple of 4 bytes, so its view is aligned
             with path.open("rb", buffering=0) as f:
                 return _read_end_aligned(f)
+        import subprocess  # only the process backend starts a child
+
         cmd = source.format(image_id=image_id)
         proc = subprocess.run(cmd, shell=True, capture_output=True)
         if proc.returncode != 0:
@@ -166,6 +166,8 @@ def predict_image(
 
 def render_svg(image_id: str, objects: detect.Columns, image_size: tuple[int, int]) -> str:
     """SVG overlay: one rect + one label per object, image pixel coordinates."""
+    from html import escape
+
     w, h = image_size
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -228,10 +230,13 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import evaluate
+
+    threshold = () if args.threshold is None else (args.threshold,)  # else evaluate's default
     report = evaluate.evaluate_files(
         [Path(p).read_bytes() for p in args.pred],
         [Path(g).read_bytes() for g in args.gt],
-        args.threshold,
+        *threshold,
     )
     Path(args.out).write_bytes(evaluate.serialize_report(report))
     if enc := getattr(sys.stdout, "encoding", None):  # pad each name as printed, escaped by main()
@@ -242,6 +247,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from . import evaluate, synth
+
     spec = synth.parse_scene(Path(args.scene).read_bytes())
     disp_map, dets, gts = synth.render_scene(spec)
     prefix = Path(args.out_prefix)
@@ -295,12 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
     p.add_argument("--pred", nargs="+", required=True, help=".dist.json files")
     p.add_argument("--gt", nargs="+", required=True, help=".gt.json files")
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=evaluate.DEFAULT_ACCURACY_THRESHOLD_M,
-        metavar="M",
-    )
+    p.add_argument("--threshold", type=float, metavar="M")
     p.add_argument("--out", required=True, help="output report JSON path")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import monodist
 from conftest import checkout_env
 from monodist import cli, evaluate
 from monodist.calib import REFERENCE_COEFFS, CalibrationModel, serialize_model
@@ -356,6 +358,15 @@ class TestEvaluate:
         g.write_text(json.dumps({"image": "a", "objects": []}))
         assert run(f"evaluate --pred {p} --gt {g} --out {tmp_path}/r.json") == 2
 
+    def test_threshold_defaults_to_evaluates_own(self, tmp_path, capsys):
+        data = synth_inputs(tmp_path)
+        cfg = files_config(tmp_path, data)
+        dist, report = tmp_path / "img0.dist.json", tmp_path / "report.json"
+        assert run(f"predict --config {cfg} --image-id img0 --out {dist}") == 0
+        assert run(f"evaluate --pred {dist} --gt {data}/img0.gt.json --out {report}") == 0
+        assert json.loads(report.read_text())["threshold_m"] == 0.2
+        assert "accuracy(T=0.2 m)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
     def test_threshold_not_positive_finite_exit_2(self, tmp_path, capsys, threshold):
         od = ObjectDistance(Detection(0, "car", 0.9, BoundingBox(0, 0, 10, 10)), rev=5.0)
@@ -521,21 +532,6 @@ class TestPredictPooling:
         assert [(o["class_name"], o["rev_m"]) for o in doc["objects"]] == [("car", 20.0)]
         assert [f["class_name"] for f in doc["failures"]] == ["person"]
 
-    def test_predict_never_imports_numpy_ma(self, tmp_path):
-        # np.median imports numpy.ma on first use, a cost every cold predict would pay
-        data = synth_inputs(tmp_path)
-        cfg = files_config(tmp_path, data, calibration=IDENT)
-        out = tmp_path / "o.json"
-        argv = ["predict", "--config", str(cfg), "--image-id", "img0", "--out", str(out)]
-        code = (
-            "import sys\n"
-            "from monodist import cli\n"
-            f"assert cli.dispatch({argv!r}) == 0\n"
-            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
-        )
-        proc = run_python(code)
-        assert proc.returncode == 0, proc.stderr
-
 
 class TrickleFile(io.FileIO):
     """A raw file whose every read returns at most 7 bytes."""
@@ -587,14 +583,61 @@ class TestDepthReader:
         assert not out.exists()
 
 
-def test_cli_import_leaves_out_xml_sax():
-    # xml.sax.saxutils pulls in urllib.request, tens of ms of every cold command
-    proc = run_python(
-        "import sys\n"
-        "import monodist.cli\n"
-        "assert 'xml.sax' not in sys.modules, 'xml.sax was imported'\n"
-    )
+# Each module here costs every cold process that loads it: np.median imports numpy.ma on first
+# use, xml.sax.saxutils pulls in urllib.request, and html, csv and subprocess serve only
+# annotate, calibrate and the process backend.
+SUBMODULES = sorted(f"monodist.{p.stem}" for p in Path(monodist.__file__).parent.glob("[!_]*.py"))
+COLD_ONLY = ["subprocess", "html", "csv", "xml.sax"]
+ABSENT = {
+    "import": SUBMODULES,
+    "predict": ["monodist.evaluate", "monodist.synth", "numpy.ma", *COLD_ONLY],
+    "evaluate": ["monodist.synth", *COLD_ONLY],
+}
+
+
+@pytest.mark.parametrize("command", ABSENT)
+def test_a_cold_command_imports_only_its_own_modules(tmp_path, command):
+    """`import monodist` loads no submodule; a files-backend command loads only what it runs."""
+    data = synth_inputs(tmp_path)
+    dist = tmp_path / "img0.dist.json"
+    predict = ["predict", "--config", str(files_config(tmp_path, data, calibration=IDENT)),
+               "--image-id", "img0", "--out", str(dist)]
+    score = ["evaluate", "--pred", str(dist), "--gt", str(data / "img0.gt.json"),
+             "--out", str(tmp_path / "report.json")]
+    if command == "evaluate":
+        assert run(predict) == 0  # the prediction it scores
+    dispatch = "from monodist import cli\nassert cli.dispatch({!r}) == 0\n"
+    code = {
+        "import": "import monodist\n",
+        "predict": dispatch.format(predict),
+        "evaluate": dispatch.format(score),
+    }[command]
+    proc = run_python(code + "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n")
     assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(set(ABSENT[command]) & set(loaded)) == []
+
+
+PUBLIC_NAMES = [
+    "BoundingBox", "CalibrationModel", "CalibrationSample", "DepthRange", "Detection",
+    "DetectionSet", "GroundTruthObject", "IndexRect", "MapKind", "MatchedPair", "MetricsReport",
+    "ObjectDistance", "ScalarMap", "SceneObject", "SceneSpec", "disparity_to_depth",
+    "filter_confidence", "fit_quadratic", "iou", "match_objects", "measure_objects",
+    "median_depth", "nms", "project_bbox", "read_pfm", "render_scene", "write_pfm",
+]
+
+
+def test_package_names_are_their_modules_objects():
+    assert monodist.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        obj = getattr(monodist, name)
+        assert obj.__module__.startswith("monodist.") and name in dir(monodist)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+    star = {}
+    exec("from monodist import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == PUBLIC_NAMES
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        monodist.no_such_name
 
 
 image_ids = st.text(max_size=8) | st.text(alphabet="./-_a;$ ", max_size=6)
