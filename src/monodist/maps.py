@@ -68,9 +68,15 @@ class ScalarMap:
         vals = vals.reshape(self.height, self.width).view()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        # NaN propagates through min/max and +-inf shows up in one of them; rows are
-        # read in memory order, as a reversed view (a PFM's) takes numpy's slow path
+        # rows are read in memory order, as a reversed view (a PFM's) takes numpy's slow
+        # path. From +0.0 up, floats order like their bits read as unsigned integers, and
+        # NaN and negatives (-0.0 too) read above any finite bound: one integer max passes
+        # a map in range. Only NaN, +-inf, a negative or a disparity over 1 reach min/max
         forward = vals[::-1] if vals.strides[0] < 0 else vals
+        bits = forward.dtype.str.replace("f", "u")  # same width and byte order
+        top = 1.0 if self.kind is MapKind.DISPARITY else np.finfo(forward.dtype).max
+        if forward.view(bits).max() <= np.array(top, forward.dtype).view(bits):
+            return
         lo, hi = float(forward.min()), float(forward.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DataError("map contains non-finite values")

@@ -15,7 +15,9 @@ from monodist.roi import ObjectDistance
 
 # numpy/BLAS warmup makes first-example timings meaningless
 settings.register_profile("default", deadline=None)
-settings.load_profile("default")
+# HYPOTHESIS_PROFILE=ci draws 20x the examples, for a CI step that runs a few files
+settings.register_profile("ci", settings.get_profile("default"), max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # (class, absolute, predicted) rows of the reference outdoor measurement set
 REFERENCE_ROWS = [

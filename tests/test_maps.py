@@ -1,10 +1,15 @@
 import math
+import sys
+import tracemalloc
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from monodist import cli
 from monodist.errors import DataError, PfmFormatError
 from monodist.maps import (
     DepthRange,
@@ -241,3 +246,144 @@ class TestPfmView:
         assert d.values.dtype == np.float64
         upcast = disparity_to_depth(make_map([[np.float32(0.3)]]), DepthRange())
         assert d.values[0, 0] == upcast.values[0, 0]
+
+
+# edge values of the map check: next1 is nextafter(1, 2), max the largest finite
+# float, snan a signalling NaN, and every other name is the float it spells
+POOL = (
+    "0.0", "-0.0", "0.5", "1.0", "-1.0", "next1", "subnormal", "-subnormal", "max",
+    "inf", "-inf", "nan", "snan",
+)
+
+
+def pool_array(names, dtype):
+    """An array of `dtype` (any byte order) holding the named values, built from their bits.
+
+    Bits keep a signalling NaN ("snan") unquieted, as a cast would not.
+    """
+    native = np.dtype(dtype[1:])
+    fi = np.finfo(native)
+    named = {
+        "next1": np.nextafter(native.type(1), native.type(2)),
+        "subnormal": fi.smallest_subnormal,
+        "-subnormal": -fi.smallest_subnormal,
+        "max": fi.max,
+    }
+    snan = 0x7FA00000 if native.itemsize == 4 else 0x7FF4000000000000
+    uint = f"u{native.itemsize}"
+    bits = [
+        snan if n == "snan" else int(np.array(named[n] if n in named else float(n), native).view(uint))
+        for n in np.ravel(names)
+    ]
+    return np.array(bits, uint).astype(dtype.replace("f", "u")).view(dtype).reshape(np.shape(names))
+
+
+def reference_map_error(values, kind):
+    """The map check as float min/max over the rows in memory order: None or the error text."""
+    vals = np.asarray(values)
+    if vals.dtype.char != "f":
+        vals = vals.astype(np.float64)
+    forward = vals[::-1] if vals.strides[0] < 0 else vals
+    lo, hi = float(forward.min()), float(forward.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return "map contains non-finite values"
+    if kind is MapKind.DISPARITY and (lo < 0.0 or hi > 1.0):
+        return f"disparity values outside [0, 1]: min={lo}, max={hi}"
+    return None
+
+
+def pfm_view_bytes(grid, dtype, header_len):
+    """A PFM stream of `grid` (top row first) in `dtype`'s byte order, its header padded."""
+    h, w = grid.shape
+    dims = f"{w} {h}\n"
+    scale = "-1." if dtype[0] == "<" else "1."
+    scale += "0" * (header_len - len("Pf\n") - len(dims) - len(scale) - 1)
+    return f"Pf\n{dims}{scale}\n".encode() + grid[::-1].tobytes()
+
+
+@st.composite
+def name_grids(draw):
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(st.sampled_from(POOL), min_size=w, max_size=w)
+    return [draw(row) for _ in range(h)]
+
+
+class TestOnePassCheck:
+    """`ScalarMap`'s unsigned max over the map's bits decides like float min/max."""
+
+    @given(
+        grid=name_grids(),
+        kind=st.sampled_from(MapKind),
+        dtype=st.sampled_from(["<f4", ">f4", "<f8", ">f8"]),
+        layout=st.sampled_from(["array", "reversed", "pfm"]),
+        header_len=st.integers(17, 20),
+    )
+    @example([["-0.0", "1.0"]], MapKind.DISPARITY, "<f4", "array", 17)
+    @example([["0.5", "next1"]], MapKind.DISPARITY, ">f4", "pfm", 18)
+    @example([["max", "0.5"]], MapKind.DEPTH, "<f8", "reversed", 17)
+    @example([["max"], ["0.5"]], MapKind.DEPTH, ">f4", "pfm", 19)
+    @example([["-1.0", "0.5"], ["0.5", "-1.0"]], MapKind.DEPTH, "<f4", "pfm", 20)
+    @example([["-0.0", "0.5"]], MapKind.DEPTH, ">f8", "array", 17)
+    @example([["0.5", "inf"]], MapKind.DEPTH, "<f4", "reversed", 17)
+    @example([["inf"]], MapKind.DISPARITY, ">f4", "pfm", 17)
+    def test_accepts_and_rejects_like_min_max(self, grid, kind, dtype, layout, header_len):
+        arr = pool_array(grid, dtype)
+        h, w = arr.shape
+        if layout == "pfm":
+            assume(dtype[1:] == "f4")
+            data = pfm_view_bytes(arr, dtype, header_len)
+            values = np.frombuffer(data, dtype, offset=header_len).reshape(h, w)[::-1]
+            build, error = partial(read_pfm, data, kind), PfmFormatError
+        else:
+            values = arr[::-1].copy()[::-1] if layout == "reversed" else arr
+            build, error = partial(ScalarMap, w, h, kind, values), DataError
+        expected = reference_map_error(values, kind)
+
+        calls = []
+
+        def record_c_calls(frame, event, arg):
+            if event == "c_call":
+                calls.append(arg.__name__)
+
+        sys.setprofile(record_c_calls)
+        try:
+            if expected is None:
+                build()
+            else:
+                with pytest.raises(error) as e:
+                    build()
+        finally:
+            sys.setprofile(None)
+        if expected is not None:
+            prefix = "PFM payload: " if layout == "pfm" else ""
+            assert str(e.value) == prefix + expected
+
+        # a map from +0.0 to its kind's bound is decided by one max, without min/max
+        top = 1.0 if kind is MapKind.DISPARITY else np.finfo(arr.dtype).max
+        with np.errstate(invalid="ignore"):
+            in_range = not np.signbit(arr).any() and bool((arr <= top).all())
+        assert ("min" in calls) is not in_range
+
+    @pytest.mark.parametrize("dtype", ["<f4", ">f4"])
+    def test_a_1920x1080_map_from_the_files_backend_allocates_no_temporary(self, tmp_path, dtype):
+        grid = np.linspace(0.0, 1.0, 1920 * 1080, dtype=dtype).reshape(1080, 1920)
+        (tmp_path / "frame.pfm").write_bytes(pfm_view_bytes(grid, dtype, 18))
+        buf = cli.BackendConfig(cli.BackendMode.FILES, tmp_path, tmp_path).fetch_depth_bytes("frame")
+        tracemalloc.start()
+        try:
+            m = read_pfm(buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(m.values, buf)
+        # an np.isfinite or np.abs temporary of this map would take 2-8 MiB
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("dtype", ["<f4", ">f4", "<f8", ">f8"])
+    @pytest.mark.parametrize("kind", list(MapKind))
+    def test_a_signalling_nan_raises_only_data_error(self, dtype, kind):
+        values = pool_array([["0.5", "snan"], ["1.0", "0.0"]], dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^map contains non-finite values$"):
+                ScalarMap(width=2, height=2, kind=kind, values=values)
