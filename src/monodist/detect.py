@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import _decode, _dump
+from .codec import _Table, _decode, _dump
 from .errors import DataError, DetectionFormatError
 
 DEFAULT_MIN_CONFIDENCE = 0.25
@@ -223,12 +223,9 @@ def parse_detections(data: bytes | str) -> DetectionSet:
 def serialize_detections(ds: DetectionSet) -> bytes:
     """Canonical `.det.json` form: fixed field order, shortest float repr."""
     c = ds.columns
-    rows = zip(c.class_ids, c.class_names, c.confidence.tolist(), c.boxes.tolist())
-    doc = {"image": ds.image_id, "width": ds.image_width, "height": ds.image_height}
-    return _dump({**doc, "detections": [
-        {"class_id": i, "class_name": name, "confidence": conf, "bbox": box}
-        for i, name, conf, box in rows
-    ]})
+    return _dump({"image": ds.image_id, "width": ds.image_width, "height": ds.image_height,
+                  "detections": _Table(class_id=c.class_ids, class_name=c.class_names,
+                                       confidence=c.confidence.tolist(), bbox=c.boxes.tolist())})
 
 
 def iou(

@@ -26,10 +26,12 @@ class DepthRange:
     def __post_init__(self):
         object.__setattr__(self, "min_depth", float(self.min_depth))
         object.__setattr__(self, "max_depth", float(self.max_depth))
-        if not (0.0 < self.min_depth < self.max_depth):
+        lo, hi = self.min_depth, self.max_depth
+        # the disparity bounds 1/max and 1/min, and the depth 1/(1/max) of the lower one
+        if not (0.0 < lo < hi < math.inf and max(1.0 / lo, 1.0 / (1.0 / hi)) < math.inf):
             raise DataError(
-                f"depth range must satisfy 0 < min < max, got "
-                f"({self.min_depth}, {self.max_depth})"
+                f"depth range must satisfy 0 < min < max < inf, 1/min and 1/(1/max) finite, "
+                f"got ({lo}, {hi})"
             )
 
     @classmethod

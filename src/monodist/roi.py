@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calib
-from .codec import _decode, _dump
+from .codec import _Table, _decode, _dump
 from .detect import (
     BoundingBox, Columns, Detection, DetectionSet, _bbox_array, _bbox_list, _check_column,
     _check_fields, _columns, _coord_array, _floats, _records,
@@ -74,9 +74,10 @@ def project_bbox(
     """Map an image-space box to depth-grid indices.
 
     Coordinates are multiplied by map_dim, then divided by image_dim, so an
-    integer edge on a grid line stays on it. The near corner is floored and
-    the far corner ceiled so that a box thinner than a cell still covers one,
-    then clamped to the grid. A rect left empty raises DegenerateRoiError.
+    integer edge on a grid line stays on it; a product past float64 is
+    divided first instead. The near corner is floored and the far corner
+    ceiled so that a box thinner than a cell still covers one, then clamped
+    to the grid. A rect left empty raises DegenerateRoiError.
     """
     boxes = _coord_array([_bbox_list(bbox)])
     col0, row0, col1, row1 = _project(boxes, image_dims, map_dims).tolist()[0]
@@ -91,10 +92,16 @@ def _project(boxes: np.ndarray, image_dims: tuple[int, int], map_dims: tuple[int
     mw, mh = map_dims
     if iw <= 0 or ih <= 0 or mw <= 0 or mh <= 0:
         raise DataError("image and map dimensions must be positive")
-    scaled = boxes * np.array([mw, mh] * 2) / np.array([iw, ih] * 2)
+    if not len(boxes):  # the image size, which may lie past float64, is only read to scale a box
+        return np.empty((0, 4), np.int64)
+    grid = np.array([mw, mh] * 2, dtype=np.float64)
+    size = np.array([iw, ih] * 2, dtype=np.float64)
+    with np.errstate(over="ignore"):  # a product past float64 divides first instead
+        scaled = boxes * grid
+        scaled = np.where(np.isfinite(scaled), scaled / size, boxes / size * grid)
     rects = np.hstack([np.floor(scaled[:, :2]), np.ceil(scaled[:, 2:])])
     # a near corner clamped to the far edge still makes an empty rect
-    return np.clip(rects, 0.0, np.array([mw, mh] * 2, dtype=np.float64)).astype(np.int64)
+    return np.clip(rects, 0.0, grid).astype(np.int64)
 
 
 def median_depth(depth: ScalarMap, rect: IndexRect) -> float:
@@ -215,20 +222,15 @@ def encode_distances(
     """`serialize_distances` of measured columns, the inverse of `decode_distances`."""
     o = objects
     abs_m = [d if cal else None for d, cal in zip(o.distances.tolist(), o.calibrated.tolist())]
-    rows = zip(o.class_names, o.confidence.tolist(), o.boxes.tolist(), o.rev.tolist(), abs_m)
-    doc = {"image": image_id, "objects": [
-        {"class_name": name, "confidence": conf, "bbox": box, "rev_m": rev, "abs_m": abs_m}
-        for name, conf, box, rev, abs_m in rows
-    ]}
+    doc = {"image": image_id, "objects": _Table(
+        class_name=o.class_names, confidence=o.confidence.tolist(), bbox=o.boxes.tolist(),
+        rev_m=o.rev.tolist(), abs_m=abs_m,
+    )}
     if failures:
-        doc["failures"] = [
-            {
-                "class_name": f.detection.class_name,
-                "bbox": _bbox_list(f.detection.bbox),
-                "reason": f.reason,
-            }
-            for f in failures
-        ]
+        c = _columns([f.detection for f in failures])
+        doc["failures"] = _Table(
+            class_name=c.class_names, bbox=c.boxes.tolist(), reason=[f.reason for f in failures]
+        )
     return _dump(doc)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import _decode, _dump
+from .codec import _Table, _decode, _dump
 from .detect import BoundingBox, Columns, DetectionSet, _bbox_list, _check_fields, _coord_array
 from .errors import SceneError
 from .evaluate import GroundTruthObject
@@ -131,14 +131,11 @@ def serialize_scene(spec: SceneSpec) -> bytes:
         "map_height": spec.map_height,
         "background_depth_m": spec.background_depth,
         "depth_range": spec.depth_range.to_dict(),
-        "objects": [
-            {
-                "class_name": o.class_name,
-                "depth_m": o.depth,
-                "bbox": _bbox_list(o.bbox),
-            }
-            for o in spec.objects
-        ],
+        "objects": _Table(
+            class_name=[o.class_name for o in spec.objects],
+            depth_m=[o.depth for o in spec.objects],
+            bbox=[_bbox_list(o.bbox) for o in spec.objects],
+        ),
         "noise_amplitude": spec.noise_amplitude,
         "seed": spec.seed,
     })

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -712,6 +713,41 @@ def test_calibrate_overflow_exit_2_without_numpy_warnings(tmp_path, rows, height
     assert proc.stderr.startswith("monodist calibrate:") and "overflow" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("size, boxes, revs", [
+    # a corner times the map side passes float64, so it is divided first: the box covers
+    # the top-left 7x5 cells of the 64x48 map, which hold background only
+    (1e308, [[0, 0, 1e307, 1e307]], [pytest.approx(100.0, rel=1e-6)]),
+    (10**400, [], []),  # past float64, but no box is scaled by it
+], ids=["1e308", "10**400"])
+def test_predict_a_huge_image_size_exit_0_without_warnings(tmp_path, size, boxes, revs):
+    data = synth_inputs(tmp_path)
+    dets = [{"class_id": 0, "class_name": "car", "confidence": 0.9, "bbox": b} for b in boxes]
+    doc = {"image": "img0", "width": size, "height": size, "detections": dets}
+    (data / "img0.det.json").write_text(json.dumps(doc))
+    files_config(tmp_path, data)
+    argv = ["predict", "--config", "config.json", "--image-id", "img0", "--out", "o.json"]
+    proc = run_cli_process(tmp_path, argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    _, objects = parse_distances((tmp_path / "o.json").read_bytes())
+    assert [od.rev for od in objects] == revs
+
+
+@pytest.mark.parametrize("depth_range", [
+    {"min_m": 1e-320, "max_m": 100.0},  # 1/min is infinite
+    {"min_m": 0.1, "max_m": math.inf},  # 1/max is 0
+    {"min_m": 0.1, "max_m": sys.float_info.max},  # 1/max rounds down, and 1/(1/max) is infinite
+])
+def test_predict_a_depth_range_without_finite_disparity_bounds_exit_2(tmp_path, depth_range):
+    files_config(tmp_path, synth_inputs(tmp_path), depth_range=depth_range)
+    argv = ["predict", "--config", "config.json", "--image-id", "img0", "--out", "o.json"]
+    proc = run_cli_process(tmp_path, argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("monodist predict: depth range must satisfy 0 < min < max < inf")
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_non_ascii_class_names_under_a_c_locale(tmp_path):

@@ -17,6 +17,7 @@ from monodist.maps import (
     ScalarMap,
     depth_to_disparity_value,
     disparity_to_depth,
+    disparity_to_depth_value,
     read_pfm,
     write_pfm,
 )
@@ -179,11 +180,24 @@ class TestDisparityToDepth:
             assert back.values[0, 0] == pytest.approx(depth, rel=1e-12)
 
 
-def test_depth_range_validation():
-    with pytest.raises(DataError):
-        DepthRange(0.0, 100.0)
-    with pytest.raises(DataError):
-        DepthRange(5.0, 5.0)
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, 100.0), (5.0, 5.0), (-1.0, 1.0), (math.nan, 1.0), (0.1, math.nan),
+    (0.1, math.inf),  # 1/max is 0
+    (1e-320, 100.0), (5e-324, 1.0), (1 / sys.float_info.max, 1.0),  # 1/min is infinite
+    (0.1, sys.float_info.max),  # 1/max rounds down, and 1/(1/max) is infinite
+])
+def test_depth_range_validation(lo, hi):
+    with pytest.raises(DataError, match=r"0 < min < max < inf, 1/min and 1/\(1/max\) finite"):
+        DepthRange(lo, hi)
+
+
+def test_depth_range_at_the_edges_of_the_rule_converts_without_warnings():
+    lo = math.nextafter(1 / sys.float_info.max, 1.0)  # the least min with a finite 1/min
+    hi = 1e308  # 1/(1/max) is finite; it is not at float max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        depth = disparity_to_depth_value(np.array([0.0, 0.5, 1.0]), DepthRange(lo, hi))
+    assert depth.tolist() == pytest.approx([hi, 2 * lo, lo])
 
 
 class TestReversedViewCheck:

@@ -1,3 +1,7 @@
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -25,6 +29,22 @@ def depth_map(values):
 
 def det(x0, y0, x1, y1, class_name="person"):
     return Detection(0, class_name, 0.9, BoundingBox(x0, y0, x1, y1))
+
+
+@st.composite
+def axis(draw):
+    """An image side and a map side below 2**20, and an integer edge pair inside the image.
+
+    Some side pairs share a drawn factor, and some edges lie on a grid line, where the
+    exact scaled edge is an integer that a rounded ratio can miss by one ulp.
+    """
+    side, factor = st.integers(1, 2**20 - 1), st.integers(1, 1023)
+    shared = st.tuples(factor, factor, factor).map(lambda t: (t[0] * t[1], t[0] * t[2]))
+    i, m = draw(st.tuples(side, side) | shared)
+    step = i // math.gcd(i, m)  # edge * m / i is an integer where edge is a multiple of step
+    edge = st.integers(0, i) | st.integers(0, i // step).map(lambda k: k * step)
+    near, far = sorted(draw(st.tuples(edge, edge).filter(lambda e: e[0] != e[1])))
+    return i, m, near, far
 
 
 class TestProjectBbox:
@@ -93,6 +113,31 @@ class TestProjectBbox:
         r1 = project_bbox(BoundingBox(x0, y0, x1, y1), (iw, ih), grid)
         rk = project_bbox(BoundingBox(x0 * k, y0 * k, x1 * k, y1 * k), (iw * k, ih * k), grid)
         assert rk == r1
+
+    # 11 * (30 / 22) rounds to just below 15, and 7 * (58 / 14) to just above 29
+    @example(x=(22, 30, 11, 12), y=(14, 58, 0, 7))
+    @given(x=axis(), y=axis())
+    def test_exact_projection_for_any_ratio(self, x, y):
+        """Each edge is the exact fraction edge * map side / image side, the near one floored
+        and the far one ceiled, then clipped to the grid."""
+        def exact(side, grid, near, far):
+            scale = Fraction(grid, side)
+            return math.floor(near * scale), min(math.ceil(far * scale), grid)
+
+        (iw, mw, x0, x1), (ih, mh, y0, y1) = x, y
+        r = project_bbox(BoundingBox(x0, y0, x1, y1), (iw, ih), (mw, mh))
+        assert ((r.col0, r.col1), (r.row0, r.row1)) == (exact(*x), exact(*y))
+
+    @pytest.mark.parametrize("box, image, rect", [
+        ((0, 0, 1e307, 1), (1e308, 10), (0, 0, 7, 4)),
+        ((0, 0, 1e307, 1e307), (1e308, 1e308), (0, 0, 7, 4)),
+        ((0, 0, 1e308, 1e308), (1e308, 1e308), (0, 0, 64, 32)),
+    ])
+    def test_corner_scaled_past_float_max_divides_first(self, box, image, rect):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = project_bbox(BoundingBox(*box), image, (64, 32))
+        assert (r.col0, r.row0, r.col1, r.row1) == rect
 
 
 class TestMedianDepth:

@@ -158,6 +158,7 @@ RULE_MESSAGES = [
     "camera height must be positive",
     "sample x must be non-negative finite",
     "sample y_abs must be positive finite",
+    "depth range must satisfy 0 < min < max < inf, 1/min and 1/(1/max) finite",
 ]
 
 

@@ -59,6 +59,11 @@ class TestRenderScene:
         with pytest.raises(SceneError):
             scene([SceneObject("car", 200.0, BoundingBox(0, 0, 5, 5))])
 
+    @pytest.mark.parametrize("background", [0.05, 200.0, float("nan")])
+    def test_background_outside_range_rejected(self, background):
+        with pytest.raises(SceneError, match="background depth .* outside range"):
+            scene(background=background)
+
     def test_box_outside_map_rejected(self):
         with pytest.raises(SceneError):
             scene([SceneObject("car", 5.0, BoundingBox(0, 0, 100, 5))])
