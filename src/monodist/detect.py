@@ -61,14 +61,15 @@ class DetectionSet:
     detections: Sequence[Detection]  # given as records or as the Columns of `.det.json`
 
     def __post_init__(self):
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise DataError(
-                f"image dimensions must be positive, got {self.image_width}x{self.image_height}"
-            )
+        w, h = self.image_width, self.image_height
+        if not (w > 0 and h > 0):  # a NaN side fails too
+            raise DataError(f"image dimensions must be positive, got {w}x{h}")
         d = self.detections
         if not isinstance(d, _Rows):
             columns = d if isinstance(d, Columns) else _columns(tuple(d))
             object.__setattr__(self, "detections", _Rows(columns, _records))
+        if len(self.detections):  # the image size scales the boxes
+            _sides([w, h])
 
     @property
     def columns(self) -> Columns:
@@ -154,6 +155,14 @@ def _bbox_list(box: BoundingBox) -> list[float]:
 def _floats(values: list) -> np.ndarray:
     """A float64 column of decoded JSON values, each converted exactly as ``float`` does."""
     return np.fromiter(map(float, values), np.float64, len(values))
+
+
+def _sides(sides: list) -> np.ndarray:
+    """Image or map sides as float64, to scale boxes by; a side past float64 raises DataError."""
+    try:
+        return np.array(sides, dtype=np.float64)
+    except OverflowError:
+        raise DataError("image or map side past float64") from None
 
 
 def _check_column(ok: np.ndarray, values, message: str) -> None:

@@ -27,11 +27,13 @@ class DepthRange:
         object.__setattr__(self, "min_depth", float(self.min_depth))
         object.__setattr__(self, "max_depth", float(self.max_depth))
         lo, hi = self.min_depth, self.max_depth
-        # the disparity bounds 1/max and 1/min, and the depth 1/(1/max) of the lower one
-        if not (0.0 < lo < hi < math.inf and max(1.0 / lo, 1.0 / (1.0 / hi)) < math.inf):
+        # the disparity bounds 1/max and 1/min, distinct as the inverse divides by their span,
+        # and the depth 1/(1/max) of the lower one
+        if not (0.0 < lo < hi < math.inf and 1.0 / hi < 1.0 / lo < math.inf
+                and 1.0 / (1.0 / hi) < math.inf):
             raise DataError(
                 f"depth range must satisfy 0 < min < max < inf, 1/min and 1/(1/max) finite, "
-                f"got ({lo}, {hi})"
+                f"1/max < 1/min, got ({lo}, {hi})"
             )
 
     @classmethod
@@ -138,10 +140,20 @@ def read_pfm(
 
 
 def write_pfm(m: ScalarMap) -> bytes:
-    """Encode a map as little-endian grayscale PFM (scale -1.0), inverse of read_pfm."""
+    """Encode a map as little-endian grayscale PFM (scale -1.0), inverse of read_pfm.
+
+    The rows are copied once, bottom-first into a float32 array whose buffer
+    is joined to the header; a value that float32 cannot hold raises DataError.
+    """
     header = f"Pf\n{m.width} {m.height}\n-1.0\n".encode("ascii")
-    payload = m.values[::-1].astype("<f4").tobytes()
-    return header + payload
+    vals = m.values[::-1]
+    with np.errstate(over="ignore"):  # a float32 map cannot overflow, a float64 one is checked
+        payload = np.ascontiguousarray(vals, "<f4")
+    if vals.dtype.char != "f" and not np.isfinite(payload).all():
+        raise DataError(f"map value {vals[~np.isfinite(payload)][0]} is beyond float32")
+    # numpy asks for huge pages for a large buffer; tobytes() and + would make two malloc'd
+    # copies, which the kernel faults in 4 KiB at a time
+    return b"".join([header, payload])
 
 
 def disparity_to_depth_value(disparity, depth_range: DepthRange) -> np.ndarray:

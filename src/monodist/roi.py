@@ -10,7 +10,7 @@ from . import calib
 from .codec import _Table, _decode, _dump
 from .detect import (
     BoundingBox, Columns, Detection, DetectionSet, _bbox_array, _bbox_list, _check_column,
-    _check_fields, _columns, _coord_array, _floats, _records,
+    _check_fields, _columns, _coord_array, _floats, _records, _sides,
 )
 from .errors import DataError, DegenerateRoiError, DetectionFormatError
 from .maps import DepthRange, MapKind, ScalarMap, disparity_to_depth_value
@@ -90,12 +90,11 @@ def _project(boxes: np.ndarray, image_dims: tuple[int, int], map_dims: tuple[int
     """`project_bbox` of each (n, 4) box row: int64 rows of col0, row0, col1, row1, maybe empty."""
     iw, ih = image_dims
     mw, mh = map_dims
-    if iw <= 0 or ih <= 0 or mw <= 0 or mh <= 0:
+    if not (iw > 0 and ih > 0 and mw > 0 and mh > 0):  # a NaN side fails too
         raise DataError("image and map dimensions must be positive")
     if not len(boxes):  # the image size, which may lie past float64, is only read to scale a box
         return np.empty((0, 4), np.int64)
-    grid = np.array([mw, mh] * 2, dtype=np.float64)
-    size = np.array([iw, ih] * 2, dtype=np.float64)
+    grid, size = _sides([mw, mh] * 2), _sides([iw, ih] * 2)
     with np.errstate(over="ignore"):  # a product past float64 divides first instead
         scaled = boxes * grid
         scaled = np.where(np.isfinite(scaled), scaled / size, boxes / size * grid)

@@ -64,31 +64,34 @@ def render_scene(
 ) -> tuple[ScalarMap, DetectionSet, list[GroundTruthObject]]:
     """Render the scene's ideal disparity map, detections and ground truth.
 
-    Each pixel's disparity is the exact algebraic inverse of the
-    disparity->depth transform for that pixel's depth; where boxes overlap
-    the nearer object wins. Disparity is quantized to float32 to match the
-    PFM interchange precision. Detections carry confidence 1.0.
+    Each of the scene's depths, the background's and each object's, becomes
+    one disparity, by the exact algebraic inverse of the disparity->depth
+    transform, painted into a float32 map at the PFM interchange precision;
+    where boxes overlap the nearer object wins. Values are clipped to [0, 1]
+    and rounded to float32 per depth, or per pixel once noise is added.
+    Detections carry confidence 1.0.
     """
     ids = list(range(len(spec.objects)))
     names, conf = _check_fields(ids, [o.class_name for o in spec.objects], [1.0] * len(ids))
+    depths = [spec.background_depth, *(o.depth for o in spec.objects)]
+    values = depth_to_disparity_value(depths, spec.depth_range)
+    noisy = spec.noise_amplitude > 0
+    if not noisy:
+        values = np.clip(values, 0.0, 1.0).astype(np.float32)
     try:
-        depth = np.full((spec.map_height, spec.map_width), spec.background_depth, dtype=np.float64)
+        disparity = np.full((spec.map_height, spec.map_width), values[0])
     except ValueError as e:  # a size numpy cannot index, raised before any memory is touched
         raise SceneError(f"map {spec.map_width}x{spec.map_height} is too large: {e}") from None
     dims = (spec.map_width, spec.map_height)
     boxes = _coord_array([_bbox_list(o.bbox) for o in spec.objects])
-    placed = zip(spec.objects, _project(boxes, dims, dims).tolist())
+    placed = zip(spec.objects, values[1:], _project(boxes, dims, dims).tolist())
     # nearer objects painted last so they overwrite farther ones, on the cells that pooling reads
-    for obj, (col0, row0, col1, row1) in sorted(placed, key=lambda p: -p[0].depth):
-        depth[row0:row1, col0:col1] = obj.depth
-
-    disparity = depth_to_disparity_value(depth, spec.depth_range)
-    if spec.noise_amplitude > 0:
+    for _, value, (col0, row0, col1, row1) in sorted(placed, key=lambda p: -p[0].depth):
+        disparity[row0:row1, col0:col1] = value
+    if noisy:
         rng = np.random.default_rng(spec.seed)
-        disparity = disparity + rng.uniform(
-            -spec.noise_amplitude, spec.noise_amplitude, size=disparity.shape
-        )
-    disparity = np.clip(disparity, 0.0, 1.0).astype(np.float32).astype(np.float64)
+        disparity += rng.uniform(-spec.noise_amplitude, spec.noise_amplitude, size=disparity.shape)
+        disparity = np.clip(disparity, 0.0, 1.0, out=disparity).astype(np.float32)
 
     disp_map = ScalarMap(
         width=spec.map_width, height=spec.map_height, kind=MapKind.DISPARITY, values=disparity

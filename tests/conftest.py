@@ -11,7 +11,8 @@ from monodist.codec import _decode
 from monodist.detect import BoundingBox, Detection, DetectionSet, _coord_array
 from monodist.errors import DataError, DetectionFormatError
 from monodist.evaluate import GroundTruthObject, MatchedPair
-from monodist.roi import ObjectDistance
+from monodist.maps import MapKind, ScalarMap, depth_to_disparity_value
+from monodist.roi import ObjectDistance, _project
 
 # numpy/BLAS warmup makes first-example timings meaningless
 settings.register_profile("default", deadline=None)
@@ -66,6 +67,33 @@ def reference_nms(ds, iou_threshold):
         if not suppressed:
             kept.append(i)
     return replace(ds, detections=tuple(ds.detections[i] for i in kept))
+
+
+def reference_render(spec):
+    """The per-pixel renderer, kept as the reference for `synth.render_scene`.
+
+    It paints each object's depth into a float64 depth frame, then converts,
+    adds noise to, clips and rounds to float32 every pixel of it.
+    """
+    depth = np.full((spec.map_height, spec.map_width), spec.background_depth, dtype=np.float64)
+    dims = (spec.map_width, spec.map_height)
+    boxes = _coord_array([[o.bbox.x0, o.bbox.y0, o.bbox.x1, o.bbox.y1] for o in spec.objects])
+    placed = zip(spec.objects, _project(boxes, dims, dims).tolist())
+    for obj, (col0, row0, col1, row1) in sorted(placed, key=lambda p: -p[0].depth):
+        depth[row0:row1, col0:col1] = obj.depth
+    disparity = depth_to_disparity_value(depth, spec.depth_range)
+    if spec.noise_amplitude > 0:
+        rng = np.random.default_rng(spec.seed)
+        disparity = disparity + rng.uniform(
+            -spec.noise_amplitude, spec.noise_amplitude, size=disparity.shape
+        )
+    disparity = np.clip(disparity, 0.0, 1.0).astype(np.float32).astype(np.float64)
+    disp_map = ScalarMap(spec.map_width, spec.map_height, MapKind.DISPARITY, disparity)
+    detections = DetectionSet("synthetic", spec.map_width, spec.map_height, tuple(
+        Detection(i, o.class_name, 1.0, o.bbox) for i, o in enumerate(spec.objects)
+    ))
+    gts = [GroundTruthObject(o.class_name, o.depth, o.bbox) for o in spec.objects]
+    return disp_map, detections, gts
 
 
 def reference_bbox(raw):

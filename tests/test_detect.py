@@ -48,6 +48,19 @@ BASE_DOC = {
 }
 
 
+class TestImageSize:
+    @pytest.mark.parametrize("width, height", [(math.nan, 10), (10, math.nan), (0, 10), (10, -1)])
+    def test_a_side_that_is_not_positive_is_rejected(self, width, height):
+        with pytest.raises(DataError, match="image dimensions must be positive"):
+            DetectionSet("x", width, height, [])
+
+    @pytest.mark.parametrize("width, height", [(10**400, 10), (10, 10**400)], ids=["w", "h"])
+    def test_a_side_past_float64_is_rejected_once_it_scales_a_box(self, width, height):
+        assert len(DetectionSet("x", width, height, []).detections) == 0
+        with pytest.raises(DataError, match="side past float64"):
+            DetectionSet("x", width, height, [det(0, 0, 1, 1)])
+
+
 class TestParse:
     def test_single_detection(self):
         ds = parse_detections(doc_bytes(BASE_DOC))

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -33,6 +34,8 @@ def pfm_bytes(width, height, floats):
         floats, dtype="<f4"
     ).tobytes()
 
+
+F32_MAX = float(np.finfo(np.float32).max)
 
 finite_f32 = st.floats(
     min_value=0.0, max_value=1.0, allow_nan=False, width=32
@@ -119,6 +122,23 @@ class TestPfm:
         stream = write_pfm(m)
         assert write_pfm(read_pfm(stream)) == stream
 
+    @pytest.mark.parametrize("value", [1e39, -1e39, F32_MAX + 2.0**103])
+    def test_value_beyond_float32_rejected_without_warnings(self, value):
+        # F32_MAX + half an ulp is the midpoint, which rounds to even: to infinity
+        m = make_map([[0.0, value]], kind=MapKind.DEPTH)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(f"map value {value} is beyond float32")):
+                write_pfm(m)
+
+    def test_value_that_rounds_to_the_largest_float32_writes(self):
+        value = math.nextafter(F32_MAX + 2.0**103, 0.0)
+        m = make_map([[value, -value]], kind=MapKind.DEPTH)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = read_pfm(write_pfm(m), MapKind.DEPTH)
+        assert out.values.tolist() == [[F32_MAX, -F32_MAX]]
+
     def test_writes_deterministic(self):
         m = make_map([[0.1, 0.9]])
         assert write_pfm(m) == write_pfm(m)
@@ -185,6 +205,7 @@ class TestDisparityToDepth:
     (0.1, math.inf),  # 1/max is 0
     (1e-320, 100.0), (5e-324, 1.0), (1 / sys.float_info.max, 1.0),  # 1/min is infinite
     (0.1, sys.float_info.max),  # 1/max rounds down, and 1/(1/max) is infinite
+    (1.75, math.nextafter(1.75, 2.0)),  # 1/max rounds to 1/min: no disparity span to divide by
 ])
 def test_depth_range_validation(lo, hi):
     with pytest.raises(DataError, match=r"0 < min < max < inf, 1/min and 1/\(1/max\) finite"):

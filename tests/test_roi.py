@@ -70,6 +70,24 @@ class TestProjectBbox:
         with pytest.raises(DataError, match="dimensions must be positive"):
             project_bbox(BoundingBox(1, 1, 2, 2), image_dims, map_dims)
 
+    @pytest.mark.parametrize("image_dims, map_dims", [
+        ((math.nan, 10), (64, 32)), ((10, math.nan), (64, 32)), ((10, 10), (math.nan, 32)),
+    ], ids=["image width", "image height", "map width"])
+    def test_nan_side_raises_without_warnings(self, image_dims, map_dims):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="dimensions must be positive"):
+                project_bbox(BoundingBox(0, 0, 1, 1), image_dims, map_dims)
+
+    @pytest.mark.parametrize("image_dims, map_dims", [
+        ((10**400, 10), (64, 32)), ((10, 10**400), (64, 32)), ((10, 10), (10**400, 32)),
+    ], ids=["image width", "image height", "map width"])
+    def test_side_past_float64_is_data_error(self, image_dims, map_dims):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="side past float64"):
+                project_bbox(BoundingBox(0, 0, 1, 1), image_dims, map_dims)
+
     @pytest.mark.parametrize("rect, message", [
         ((-1, 0, 2, 2), "negative rect index"),
         ((0, 0, 0, 2), "empty rect"),
