@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import _decode, _dump
-from .errors import CalibrationError
+from .errors import CalibrationError, _float, _shown
 
 # Fitted curve reported for the reference outdoor setup (camera height folded in, h = 1)
 REFERENCE_COEFFS = (21.714, -0.5373, 0.0036)
@@ -23,10 +23,12 @@ class CalibrationSample:
 
     def __post_init__(self):
         # x = 0 (object at the near edge of the field of view) is a valid anchor point
-        if not (self.x >= 0 and math.isfinite(self.x)):
-            raise CalibrationError(f"sample x must be non-negative finite, got {self.x}")
-        if not (self.y_abs > 0 and math.isfinite(self.y_abs)):
-            raise CalibrationError(f"sample y_abs must be positive finite, got {self.y_abs}")
+        if not (self.x >= 0 and math.isfinite(_float(self.x))):
+            raise CalibrationError(f"sample x must be non-negative finite, got {_shown(self.x)}")
+        if not (self.y_abs > 0 and math.isfinite(_float(self.y_abs))):
+            raise CalibrationError(
+                f"sample y_abs must be positive finite, got {_shown(self.y_abs)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class CalibrationModel:
 
     def __post_init__(self):
         for name in ("c0", "c1", "c2", "h", "fit_rmse"):
-            value = float(getattr(self, name))
+            value = _float(getattr(self, name))
             if name == "h":
                 _check_height(value)
             elif not math.isfinite(value):
@@ -49,7 +51,7 @@ class CalibrationModel:
         if self.fit_rmse < 0:
             raise CalibrationError(f"fit_rmse must be non-negative, got {self.fit_rmse}")
         if self.n_samples and self.n_samples < 3:
-            raise CalibrationError(f"fitted model needs >= 3 samples, got {self.n_samples}")
+            raise CalibrationError(f"fitted model needs >= 3 samples, got {_shown(self.n_samples)}")
 
 
 def _check_height(h: float) -> None:

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codec import _Table, _decode, _dump
-from .errors import DataError, DetectionFormatError
+from .errors import DataError, DetectionFormatError, _float, _shown
 
 DEFAULT_MIN_CONFIDENCE = 0.25
 DEFAULT_IOU_THRESHOLD = 0.45
@@ -27,7 +27,7 @@ class BoundingBox:
 
     def __post_init__(self):
         for name in ("x0", "y0", "x1", "y1"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _float(getattr(self, name)))
         _bbox_array([_bbox_list(self)])
 
     @property
@@ -47,7 +47,7 @@ class Detection:
     bbox: BoundingBox
 
     def __post_init__(self):
-        object.__setattr__(self, "confidence", float(self.confidence))
+        object.__setattr__(self, "confidence", _float(self.confidence))
         _check_fields([self.class_id], [self.class_name], [self.confidence])
 
 
@@ -63,7 +63,7 @@ class DetectionSet:
     def __post_init__(self):
         w, h = self.image_width, self.image_height
         if not (w > 0 and h > 0):  # a NaN side fails too
-            raise DataError(f"image dimensions must be positive, got {w}x{h}")
+            raise DataError(f"image dimensions must be positive, got {_shown(w)}x{_shown(h)}")
         d = self.detections
         if not isinstance(d, _Rows):
             columns = d if isinstance(d, Columns) else _columns(tuple(d))
@@ -174,7 +174,7 @@ def _check_column(ok: np.ndarray, values, message: str) -> None:
 def _check_fields(class_ids, names: Iterable, confidences: Iterable) -> tuple[list, np.ndarray]:
     """Check the Detection rules field by field (no ids if None); lazy fields are read when due."""
     if class_ids and min(class_ids) < 0:
-        raise DataError(f"negative class_id {min(class_ids)}")
+        raise DataError(f"negative class_id {_shown(min(class_ids))}")
     names = list(names)
     if not all(names):
         raise DataError("empty class_name")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .codec import _Table, _decode, _dump
 from .detect import BoundingBox, _bbox_array, _bbox_list, _check_column, _floats, _Rows, iou
-from .errors import DataError, DetectionFormatError
+from .errors import DataError, DetectionFormatError, _float
 from .roi import Columns, ObjectDistance, _distance_columns, decode_distances
 
 MATCH_IOU_THRESHOLD = 0.5
@@ -25,7 +25,7 @@ class GroundTruthObject:
     bbox: BoundingBox | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "abs_distance", float(self.abs_distance))
+        object.__setattr__(self, "abs_distance", _float(self.abs_distance))
         _check_truths(np.array([self.abs_distance]))
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, PfmFormatError
+from .errors import DataError, PfmFormatError, _float, _shown
 
 
 class MapKind(enum.Enum):
@@ -24,8 +24,8 @@ class DepthRange:
     max_depth: float = 100.0
 
     def __post_init__(self):
-        object.__setattr__(self, "min_depth", float(self.min_depth))
-        object.__setattr__(self, "max_depth", float(self.max_depth))
+        object.__setattr__(self, "min_depth", _float(self.min_depth))
+        object.__setattr__(self, "max_depth", _float(self.max_depth))
         lo, hi = self.min_depth, self.max_depth
         # the disparity bounds 1/max and 1/min, distinct as the inverse divides by their span,
         # and the depth 1/(1/max) of the lower one
@@ -53,8 +53,9 @@ class ScalarMap:
 
     Disparity maps are dimensionless in [0, 1]; depth maps are in meters.
     float32 values, of either byte order, stay float32 (a PFM map is a
-    read-only view of the stream's bytes); other input becomes float64, and
-    ``values`` is always a read-only array that may be a non-contiguous view.
+    read-only view of the stream's bytes); other input becomes C-contiguous
+    float64, and ``values`` is always a read-only array, a view of float32
+    input that may be non-contiguous.
     """
 
     width: int
@@ -64,10 +65,13 @@ class ScalarMap:
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
-            raise DataError(f"map dimensions must be positive, got {self.width}x{self.height}")
+            raise DataError(
+                f"map dimensions must be positive, got {_shown(self.width)}x{_shown(self.height)}"
+            )
         vals = np.asarray(self.values)
         if vals.dtype.char != "f":  # float32 of either byte order: a cast warns on a signalling NaN
-            vals = vals.astype(np.float64, copy=False)
+            # rows in reading order, so that min/max below meet a tie of -0.0 and 0.0 as read
+            vals = np.ascontiguousarray(vals, np.float64)
         # a fresh view, so the caller's own array stays writable
         vals = vals.reshape(self.height, self.width).view()
         vals.setflags(write=False)
@@ -142,8 +146,17 @@ def read_pfm(
 def write_pfm(m: ScalarMap) -> bytes:
     """Encode a map as little-endian grayscale PFM (scale -1.0), inverse of read_pfm.
 
-    The rows are copied once, bottom-first into a float32 array whose buffer
-    is joined to the header; a value that float32 cannot hold raises DataError.
+    A value that float32 cannot hold raises DataError.
+    """
+    # numpy asks for huge pages for a large buffer; tobytes() and + would make two malloc'd
+    # copies, which the kernel faults in 4 KiB at a time
+    return b"".join(_pfm_parts(m))
+
+
+def _pfm_parts(m: ScalarMap) -> tuple[bytes, np.ndarray]:
+    """The header and the payload of `write_pfm`: rows copied once, bottom-first, into float32.
+
+    A file writer can write the two in turn, with no copy of the whole stream.
     """
     header = f"Pf\n{m.width} {m.height}\n-1.0\n".encode("ascii")
     vals = m.values[::-1]
@@ -151,9 +164,7 @@ def write_pfm(m: ScalarMap) -> bytes:
         payload = np.ascontiguousarray(vals, "<f4")
     if vals.dtype.char != "f" and not np.isfinite(payload).all():
         raise DataError(f"map value {vals[~np.isfinite(payload)][0]} is beyond float32")
-    # numpy asks for huge pages for a large buffer; tobytes() and + would make two malloc'd
-    # copies, which the kernel faults in 4 KiB at a time
-    return b"".join([header, payload])
+    return header, payload
 
 
 def disparity_to_depth_value(disparity, depth_range: DepthRange) -> np.ndarray:

@@ -12,7 +12,7 @@ from .detect import (
     BoundingBox, Columns, Detection, DetectionSet, _bbox_array, _bbox_list, _check_column,
     _check_fields, _columns, _coord_array, _floats, _records, _sides,
 )
-from .errors import DataError, DegenerateRoiError, DetectionFormatError
+from .errors import DataError, DegenerateRoiError, DetectionFormatError, _float, _shown
 from .maps import DepthRange, MapKind, ScalarMap, disparity_to_depth_value
 
 
@@ -31,6 +31,9 @@ class IndexRect:
         if self.col0 >= self.col1 or self.row0 >= self.row1:
             raise DataError(f"empty rect {self}")
 
+    def __repr__(self) -> str:  # the dataclass repr, with an index too long for str abbreviated
+        return f"IndexRect({', '.join(f'{k}={_shown(v, repr)}' for k, v in vars(self).items())})"
+
 
 @dataclass(frozen=True)
 class ObjectDistance:
@@ -41,9 +44,9 @@ class ObjectDistance:
     abs: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rev", float(self.rev))
+        object.__setattr__(self, "rev", _float(self.rev))
         if self.abs is not None:
-            object.__setattr__(self, "abs", float(self.abs))
+            object.__setattr__(self, "abs", _float(self.abs))
         _check_distances(np.array([self.rev]), None if self.abs is None else np.array([self.abs]))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .codec import _Table, _decode, _dump
 from .detect import BoundingBox, Columns, DetectionSet, _bbox_list, _check_fields, _coord_array
-from .errors import SceneError
+from .errors import SceneError, _float, _shown
 from .evaluate import GroundTruthObject
 from .maps import DepthRange, MapKind, ScalarMap, depth_to_disparity_value
 from .roi import _project
@@ -25,7 +25,7 @@ class SceneObject:
     bbox: BoundingBox
 
     def __post_init__(self):
-        object.__setattr__(self, "depth", float(self.depth))
+        object.__setattr__(self, "depth", _float(self.depth))
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,11 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "background_depth", float(self.background_depth))
-        object.__setattr__(self, "noise_amplitude", float(self.noise_amplitude))
+        object.__setattr__(self, "background_depth", _float(self.background_depth))
+        object.__setattr__(self, "noise_amplitude", _float(self.noise_amplitude))
+        dims = f"{_shown(self.map_width)}x{_shown(self.map_height)}"
         if self.map_width <= 0 or self.map_height <= 0:
-            raise SceneError(f"map dimensions must be positive, got {self.map_width}x{self.map_height}")
+            raise SceneError(f"map dimensions must be positive, got {dims}")
         rng = self.depth_range
         if not rng.min_depth <= self.background_depth <= rng.max_depth:
             raise SceneError(f"background depth {self.background_depth} outside range")
@@ -50,12 +51,12 @@ class SceneSpec:
             if not rng.min_depth <= obj.depth <= rng.max_depth:
                 raise SceneError(f"object depth {obj.depth} outside range")
             if obj.bbox.x1 > self.map_width or obj.bbox.y1 > self.map_height:
-                raise SceneError(f"object box {obj.bbox} outside {self.map_width}x{self.map_height} map")
+                raise SceneError(f"object box {obj.bbox} outside {dims} map")
         # disparity is clipped to [0, 1], so a larger amplitude only saturates pixels
         if not 0.0 <= self.noise_amplitude <= 1.0:
             raise SceneError(f"noise amplitude must be in [0, 1], got {self.noise_amplitude}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise SceneError(f"seed must be a non-negative integer, got {self.seed!r}")
+            raise SceneError(f"seed must be a non-negative integer, got {_shown(self.seed, repr)}")
         object.__setattr__(self, "objects", tuple(self.objects))
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import monodist
 from conftest import checkout_env
-from monodist import cli, evaluate
+from monodist import cli, evaluate, synth
 from monodist.calib import REFERENCE_COEFFS, CalibrationModel, serialize_model
 from monodist.detect import BoundingBox, Detection, DetectionSet, serialize_detections
 from monodist.errors import BackendError, PfmFormatError
@@ -441,6 +442,22 @@ class TestSynthCommand:
         bad.write_text("{")
         assert run(f"synth --scene {bad} --out-prefix {tmp_path}/x") == 2
 
+    def test_writes_the_pfm_bytes_of_write_pfm(self, tmp_path):
+        car = SceneObject("car", 10.0, BoundingBox(5.5, 5, 30, 30.25))
+        spec, scene_path = write_scene(tmp_path, [car], noise_amplitude=0.1)
+        assert run(f"synth --scene {scene_path} --out-prefix {tmp_path}/s") == 0
+        assert (tmp_path / "s.pfm").read_bytes() == write_pfm(synth.render_scene(spec)[0])
+
+    def test_a_map_beyond_float32_leaves_no_pfm(self, tmp_path, monkeypatch, capsys):
+        spec, scene_path = write_scene(tmp_path, [])
+        _, dets, gts = synth.render_scene(spec)
+        wide = ScalarMap(spec.map_width, spec.map_height, MapKind.DEPTH,
+                         np.full(spec.map_width * spec.map_height, 1e39))
+        monkeypatch.setattr(synth, "render_scene", lambda _: (wide, dets, gts))
+        assert run(f"synth --scene {scene_path} --out-prefix {tmp_path}/o/s") == 2
+        assert capsys.readouterr().err == "monodist synth: map value 1e+39 is beyond float32\n"
+        assert list((tmp_path / "o").iterdir()) == []
+
 
 class TestAnnotate:
     def test_svg_contains_rect_and_label(self, tmp_path):
@@ -795,3 +812,107 @@ def test_evaluate_table_aligns_names_escaped_for_an_ascii_locale(tmp_path):
     assert len({len(re.match(r"\S+ +", line).group()) for line in table}) == 1, table
     names = [p["class_name"] for p in json.loads((tmp_path / "r.json").read_text())["pairs"]]
     assert names == ["café", "car"]
+
+
+IMAGES = 12
+
+
+def write_big_evaluate_inputs(inputs, per_image=100):
+    """Prediction and ground-truth files whose evaluate table passes 64 KiB, a pipe's buffer."""
+    for i in range(IMAGES):
+        boxes = [[20 * k, 0, 20 * k + 10, 10] for k in range(per_image)]
+        names = [("car", "person", "bus")[k % 3] for k in range(per_image)]
+        preds = [{"class_name": n, "confidence": 0.9, "bbox": b, "rev_m": 5 + k / 7,
+                  "abs_m": None} for k, (n, b) in enumerate(zip(names, boxes))]
+        gts = [{"class_name": n, "abs_m": 5 + k / 6, "bbox": b}
+               for k, (n, b) in enumerate(zip(names, boxes))]
+        (inputs / f"p{i}.json").write_text(json.dumps({"image": f"im{i}", "objects": preds}))
+        (inputs / f"g{i}.json").write_text(json.dumps({"image": f"im{i}", "objects": gts}))
+
+
+PARITY_CASES = {
+    "synth": ["synth", "--scene", "../in/scene.scene.json", "--out-prefix", "o/img0"],
+    "calibrate": ["calibrate", "--samples", "../in/s.csv", "--camera-height", "1.5",
+                  "--out", "m.calib.json"],
+    "predict": ["predict", "--config", "../config.json", "--image-id", "img0",
+                "--out", "img0.dist.json"],
+    "evaluate": ["evaluate", "--pred", *(f"../in/p{i}.json" for i in range(IMAGES)),
+                 "--gt", *(f"../in/g{i}.json" for i in range(IMAGES)), "--out", "r.json"],
+    "annotate": ["annotate", "--distances", "../in/d.dist.json", "--image-size", "64x48",
+                 "--out", "o.svg"],
+    "usage error": ["predict", "--image-id", "img0"],
+    "data error": ["evaluate", "--pred", "missing.json", "--gt", "missing.json",
+                   "--out", "r.json"],
+}
+
+
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_a_cli_process_prints_and_writes_what_dispatch_does(tmp_path, monkeypatch, case):
+    """`main()` in a child gives the exit code, output and files of `dispatch` in process."""
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    objects = (SceneObject("car", 10.0, BoundingBox(5, 5, 30, 30)),
+               SceneObject("bus", 20.0, BoundingBox(40, 10, 60, 40)))
+    # an offset of -15 m makes the car's calibrated distance negative, which predict warns of
+    files_config(tmp_path, synth_inputs(tmp_path, objects),
+                 calibration=CalibrationModel(c0=-15.0, c1=1.0, c2=0.0, h=1.0))
+    write_scene(inputs, objects)
+    (inputs / "s.csv").write_text("x_m,y_abs_m\n1,2\n2,3.5\n3,5.25\n4,6.5\n")
+    od = ObjectDistance(Detection(0, "car", 0.9, BoundingBox(10, 20, 30, 40)), rev=9.8, abs=10.1)
+    (inputs / "d.dist.json").write_bytes(serialize_distances("img0", [od]))
+    write_big_evaluate_inputs(inputs)
+    argv = PARITY_CASES[case]
+    results = []
+    for side in ("dispatch", "process"):
+        cwd = tmp_path / side
+        cwd.mkdir()
+        if side == "dispatch":
+            monkeypatch.chdir(cwd)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.dispatch(argv)
+            printed = code, out.getvalue(), err.getvalue()
+        else:
+            proc = run_cli_process(cwd, argv)
+            printed = proc.returncode, proc.stdout, proc.stderr
+        files = {str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+        results.append((printed, files))
+    assert results[0] == results[1]
+    (code, stdout, stderr), files = results[0]
+    assert code == {"usage error": 1, "data error": 2}.get(case, 0)
+    assert "Traceback" not in stderr
+    assert bool(files) is (code == 0)
+    if case == "evaluate":
+        assert len(stdout) > 65536 and stdout.endswith("unmatched GT: 0\n")
+    if case == "predict":
+        assert stderr.startswith("warning: negative calibrated distance") and "car" in stderr
+
+
+def test_dispatch_leaves_the_collector_unfrozen(tmp_path):
+    """Only `main()`, whose process then exits, freezes the collector."""
+    data = synth_inputs(tmp_path)
+    cfg = files_config(tmp_path, data)
+    before = gc.get_freeze_count()
+    assert run(f"predict --config {cfg} --image-id img0 --out {tmp_path}/o.json") == 0
+    assert run("annotate --image-size 0x1 --distances x --out y") == 1
+    assert gc.get_freeze_count() == before
+
+
+def test_main_freezes_the_collector_before_the_process_exits(tmp_path):
+    """A process that runs `main()` reaches its atexit hooks with its objects frozen."""
+    od = ObjectDistance(Detection(0, "car", 0.9, BoundingBox(10, 20, 30, 40)), rev=9.8)
+    dist = tmp_path / "d.dist.json"
+    dist.write_bytes(serialize_distances("img0", [od]))
+    argv = ["annotate", "--distances", str(dist), "--image-size", "64x48",
+            "--out", str(tmp_path / "o.svg")]
+    proc = run_python(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        f"sys.argv = ['monodist', *{argv!r}]\n"
+        "from monodist.cli import main\n"
+        "main()\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    frozen = re.fullmatch(r"frozen (\d+)\n", proc.stderr)
+    assert frozen and int(frozen.group(1)) > 0, proc.stderr
+    assert (tmp_path / "o.svg").read_text().startswith("<svg")

@@ -220,6 +220,54 @@ def test_invalid_values_raise_the_parsers_own_error(name, payload):
         parse(payload)
 
 
+HUGE = 10**5000  # past float64 and past sys.get_int_max_str_digits()
+BOX = BoundingBox(0, 0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: detect.DetectionSet("x", -HUGE, 1, []), DataError,
+         "image dimensions must be positive, got -1.00e+5000x1"),
+        (lambda: maps.ScalarMap(-HUGE, 1, maps.MapKind.DEPTH, [1.0]), DataError,
+         "map dimensions must be positive, got -1.00e+5000x1"),
+        (lambda: roi.IndexRect(-HUGE, 0, 1, 1), DataError,
+         "negative rect index in IndexRect(col0=-1.00e+5000, row0=0, col1=1, row1=1)"),
+        (lambda: Detection(-HUGE, "car", 0.5, BOX), DataError, "negative class_id -1.00e+5000"),
+        (lambda: synth.SceneSpec(-HUGE, 1, 50.0), SceneError,
+         "map dimensions must be positive, got -1.00e+5000x1"),
+        (lambda: calib.CalibrationModel(1, 1, 1, 1.0, 0.0, -HUGE), CalibrationError,
+         "fitted model needs >= 3 samples, got -1.00e+5000"),
+        # past float64, a value is the infinity of its sign, as the float literal 1e999 is
+        (lambda: BoundingBox(HUGE, 0, 1, 1), DataError,
+         "non-finite, negative, inverted or empty bbox [inf, 0.0, 1.0, 1.0]"),
+        (lambda: maps.DepthRange(HUGE, 1), DataError,
+         "depth range must satisfy 0 < min < max < inf, 1/min and 1/(1/max) finite, "
+         "1/max < 1/min, got (inf, 1.0)"),
+        (lambda: calib.CalibrationModel(HUGE, 1, 1, 1.0), CalibrationError,
+         "c0 must be finite, got inf"),
+        (lambda: Detection(0, "car", HUGE, BOX), DataError, "confidence inf outside [0, 1]"),
+        (lambda: roi.ObjectDistance(Detection(0, "car", 0.5, BOX), 1.0, -HUGE), DataError,
+         "abs must be finite, got -inf"),
+        (lambda: evaluate.GroundTruthObject("car", HUGE), DataError,
+         "ground-truth distance must be positive, got inf"),
+        (lambda: synth.SceneSpec(4, 4, 50.0, seed=-HUGE), SceneError,
+         "seed must be a non-negative integer, got -1.00e+5000"),
+        (lambda: calib.CalibrationSample(HUGE, 1.0), CalibrationError,
+         "sample x must be non-negative finite, got 1.00e+5000"),
+    ],
+    ids=["DetectionSet", "ScalarMap", "IndexRect", "Detection.class_id", "SceneSpec",
+         "CalibrationModel.n_samples", "BoundingBox", "DepthRange", "CalibrationModel.c0",
+         "Detection.confidence", "ObjectDistance", "GroundTruthObject", "SceneSpec.seed",
+         "CalibrationSample"],
+)
+def test_a_huge_int_argument_raises_the_records_own_error(build, error, message):
+    """A record built in Python from an int of any size raises its DataError, with its text."""
+    with pytest.raises(DataError) as e:
+        build()
+    assert type(e.value) is error and str(e.value) == message
+
+
 def test_bad_utf8_is_reported_as_bad_json():
     with pytest.raises(CalibrationError, match="malformed calibration JSON"):
         calib.deserialize_model(b"\xff")
