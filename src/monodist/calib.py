@@ -141,8 +141,11 @@ def read_samples_csv(data: bytes | str) -> list[CalibrationSample]:
         )
     samples = []
     for i, row in enumerate(rows):
+        if None in row:  # DictReader files the fields past the header under None
+            raise CalibrationError(f"sample row {i}: {2 + len(row[None])} fields, header has 2")
+        x, y_abs = row.values()  # by position: the header's names may carry spaces
         try:
-            samples.append(CalibrationSample(x=float(row["x_m"]), y_abs=float(row["y_abs_m"])))
+            samples.append(CalibrationSample(x=float(x), y_abs=float(y_abs)))
         except (TypeError, ValueError) as e:
             raise CalibrationError(f"sample row {i}: {e}") from None
     return samples

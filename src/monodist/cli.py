@@ -38,6 +38,11 @@ class BackendMode(enum.Enum):
 _IMAGE_ID = re.compile(r"[A-Za-z0-9_][A-Za-z0-9._-]*")
 
 
+def _check_image_id(image_id: str, error: type[DataError] = DataError) -> None:
+    if not _IMAGE_ID.fullmatch(image_id):
+        raise error(f"bad image id {image_id!r}, expected {_IMAGE_ID.pattern}")
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     """The depth and detection sources: directories of `<image_id>` files or command templates."""
@@ -56,8 +61,7 @@ class BackendConfig:
     def _fetch(
         self, source: Path | str, image_id: str, suffix: str, what: str
     ) -> bytes | np.ndarray:
-        if not _IMAGE_ID.fullmatch(image_id):
-            raise BackendError(f"bad image id {image_id!r}, expected {_IMAGE_ID.pattern}")
+        _check_image_id(image_id, BackendError)
         if self.mode is BackendMode.FILES:
             path = source / f"{image_id}{suffix}"
             if not path.is_file():
@@ -191,46 +195,33 @@ def render_svg(image_id: str, objects: detect.Columns, image_size: tuple[int, in
     return "\n".join(lines) + "\n"
 
 
-def _cmd_calibrate(args) -> int:
+def _cmd_calibrate(args) -> None:
     samples = calib.read_samples_csv(Path(args.samples).read_bytes())
     model = calib.fit_quadratic(samples, h=args.camera_height)
     Path(args.out).write_bytes(calib.serialize_model(model))
-    print(
-        f"fitted c0={model.c0:.6g} c1={model.c1:.6g} c2={model.c2:.6g} "
-        f"(h={model.h:g} m, rmse={model.fit_rmse:.6g} m, n={model.n_samples})"
-    )
-    return EXIT_OK
+    print(f"fitted c0={model.c0:.6g} c1={model.c1:.6g} c2={model.c2:.6g} "
+          f"(h={model.h:g} m, rmse={model.fit_rmse:.6g} m, n={model.n_samples})")
 
 
-def _cmd_predict(args) -> int:
-    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if not config_path:
-        print(
-            f"predict: no config given and {CONFIG_ENV_VAR} is unset", file=sys.stderr
-        )
-        return EXIT_USAGE
+def _cmd_predict(args) -> None:
     overrides = {
         "min_conf": args.min_conf,
         "iou_threshold": args.iou_threshold,
         # relative to the working directory, unlike the config's own paths
         "calibration_model_path": args.calibration and Path(args.calibration).resolve(),
     }
-    cfg = load_config(Path(config_path), overrides)
+    cfg = load_config(args.config, overrides)
     objects, failures = predict_image(cfg, args.image_id)
     negative = objects.calibrated & (objects.distances < 0)
     for i in np.flatnonzero(negative).tolist():
-        print(
-            f"warning: negative calibrated distance {objects.distances[i]:.3f} m for "
-            f"{objects.class_names[i]} (rev {objects.rev[i]:.3f} m)",
-            file=sys.stderr,
-        )
+        print(f"warning: negative calibrated distance {objects.distances[i]:.3f} m for "
+              f"{objects.class_names[i]} (rev {objects.rev[i]:.3f} m)", file=sys.stderr)
     for f in failures:
         print(f"warning: skipped {f.detection.class_name}: {f.reason}", file=sys.stderr)
     Path(args.out).write_bytes(roi.encode_distances(args.image_id, objects, failures))
-    return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     from . import evaluate
 
     threshold = () if args.threshold is None else (args.threshold,)  # else evaluate's default
@@ -244,30 +235,28 @@ def _cmd_evaluate(args) -> int:
         names = [str(n.encode(enc, "backslashreplace"), enc) for n in report.pairs.columns[0]]
         report = replace(report, pairs=report.pairs.columns._replace(class_name=names))
     print(evaluate.render_table(report), end="")
-    return EXIT_OK
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> None:
     from . import evaluate, synth
 
+    prefix = Path(args.out_prefix)
+    image_id = prefix.name
+    _check_image_id(image_id)  # the id that predict reads the files back by
     spec = synth.parse_scene(Path(args.scene).read_bytes())
     disp_map, dets, gts = synth.render_scene(spec)
-    prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    image_id = prefix.name
     dets = replace(dets, image_id=image_id)
     parts = maps._pfm_parts(disp_map)  # checked before the file is opened
     with open(f"{prefix}.pfm", "wb") as f:
         f.writelines(parts)  # the header, then the payload's own buffer
     Path(f"{prefix}.det.json").write_bytes(detect.serialize_detections(dets))
     Path(f"{prefix}.gt.json").write_bytes(evaluate.serialize_ground_truth(image_id, gts))
-    return EXIT_OK
 
 
-def _cmd_annotate(args) -> int:
+def _cmd_annotate(args) -> None:
     image_id, objects = roi.decode_distances(Path(args.distances).read_bytes())
     Path(args.out).write_text(render_svg(image_id, objects, args.image_size), encoding="utf-8")
-    return EXIT_OK
 
 
 def _image_size(text: str) -> tuple[int, int]:
@@ -276,6 +265,14 @@ def _image_size(text: str) -> tuple[int, int]:
     if w <= 0 or h <= 0:
         raise ValueError(text)
     return w, h
+
+
+def _config_path(text: str) -> Path:
+    """predict's --config, else $MONODIST_CONFIG: argparse converts a str default per parse."""
+    text = text or os.environ.get(CONFIG_ENV_VAR)
+    if not text:
+        raise argparse.ArgumentTypeError(f"no config given and {CONFIG_ENV_VAR} is unset")
+    return Path(text)
 
 
 @functools.cache
@@ -294,7 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("predict", help="run the fusion pipeline for one image")
-    p.add_argument("--config", help=f"pipeline config JSON (default: ${CONFIG_ENV_VAR})")
+    p.add_argument("--config", default="", type=_config_path,
+                   help=f"pipeline config JSON (default: ${CONFIG_ENV_VAR})")
     p.add_argument("--image-id", required=True)
     p.add_argument("--out", required=True, help="output .dist.json path")
     p.add_argument("--min-conf", type=float, help="override config min_conf")
@@ -311,9 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="render a synthetic scene to pipeline inputs")
     p.add_argument("--scene", required=True, help=".scene.json path")
-    p.add_argument(
-        "--out-prefix", required=True, help="writes <prefix>.pfm, .det.json, .gt.json"
-    )
+    p.add_argument("--out-prefix", required=True, help="writes <prefix>.pfm, .det.json, .gt.json")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("annotate", help="emit an SVG overlay of measured objects")
@@ -332,10 +328,11 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
-        return args.func(args)
+        args.func(args)
     except (DataError, OSError, MemoryError) as e:
         print(f"monodist {args.command}: {e}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 def main() -> None:

@@ -153,8 +153,11 @@ def _bbox_list(box: BoundingBox) -> list[float]:
 
 
 def _floats(values: list) -> np.ndarray:
-    """A float64 column of decoded JSON values, each converted exactly as ``float`` does."""
-    return np.fromiter(map(float, values), np.float64, len(values))
+    """A float64 column of decoded JSON values, each converted as a record's ``_float`` does."""
+    try:
+        return np.fromiter(map(float, values), np.float64, len(values))
+    except OverflowError:  # an int past float64: the slower conversion, only for its column
+        return np.fromiter(map(_float, values), np.float64, len(values))
 
 
 def _sides(sides: list) -> np.ndarray:
@@ -220,7 +223,7 @@ def parse_detections(data: bytes | str) -> DetectionSet:
         boxes = _coord_array(raws)
         _check_column(~(boxes[:, :2] >= boxes[:, 2:]), raws, "inverted bbox {}")
         # an image without boxes never converts its size to float, which overflows past 1e308
-        limits = np.array([width, height] * 2 if raws else [0] * 4, dtype=np.float64)
+        limits = _sides([width, height] * 2 if raws else [0] * 4)
         # where, not maximum, so that -0.0 stays -0.0 as Python's max(-0.0, 0.0) leaves it
         boxes = np.minimum(np.where(boxes < 0.0, 0.0, boxes), limits)
         ok = boxes[:, :2] < boxes[:, 2:]

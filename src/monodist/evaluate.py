@@ -196,8 +196,7 @@ def evaluate_files(
         unmatched_gts += len(g_dist) - len(rows)
     if not names:
         raise DataError("no matched prediction/ground-truth pairs")
-    with np.errstate(over="ignore"):  # an infinite error is left to rmse, as abs() leaves it
-        error = np.abs(np.subtract(predicted, truth)).tolist()
+    error = [abs(p - t) for p, t in zip(predicted, truth)]  # MatchedPair's formula
     return build_report(_Pairs(names, truth, predicted, error), unmatched_preds, unmatched_gts, t)
 
 

@@ -72,6 +72,10 @@ class ScalarMap:
         if vals.dtype.char != "f":  # float32 of either byte order: a cast warns on a signalling NaN
             # rows in reading order, so that min/max below meet a tie of -0.0 and 0.0 as read
             vals = np.ascontiguousarray(vals, np.float64)
+        # one int comparison: reshape would leak ValueError for too few values or a side past numpy
+        if vals.size != (n := self.width * self.height):
+            w, h = _shown(self.width), _shown(self.height)
+            raise DataError(f"a {w}x{h} map needs {_shown(n)} values, got {vals.size}")
         # a fresh view, so the caller's own array stays writable
         vals = vals.reshape(self.height, self.width).view()
         vals.setflags(write=False)

@@ -222,3 +222,14 @@ class TestSamplesCsv:
     def test_bad_value(self):
         with pytest.raises(CalibrationError):
             read_samples_csv(b"x_m,y_abs_m\n1.0,oops\n")
+
+    def test_a_row_with_fields_past_the_header(self):
+        # decimal commas split each value in two
+        with pytest.raises(CalibrationError, match=r"^sample row 0: 4 fields, header has 2$"):
+            read_samples_csv("x_m,y_abs_m\n1,5,2,25\n2,5,4,75\n3,5,7,5\n")
+        with pytest.raises(CalibrationError, match=r"^sample row 1: 3 fields, header has 2$"):
+            read_samples_csv("x_m,y_abs_m\n1,2\n3,4,\n")
+
+    def test_a_header_with_spaces_is_read_by_position(self):
+        samples = read_samples_csv(b"x_m, y_abs_m\n1.0,2.0\n3.5,4.5\n")
+        assert samples == [CalibrationSample(1.0, 2.0), CalibrationSample(3.5, 4.5)]

@@ -184,6 +184,30 @@ class TestPredict:
         monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
         assert run(f"predict --image-id x --out {tmp_path}/o.json") == 1
 
+    def test_no_config_is_a_usage_error_printed_with_the_usage_line(self, tmp_path):
+        env = {k: v for k, v in checkout_env().items() if k != cli.CONFIG_ENV_VAR}
+        proc = subprocess.run(
+            [sys.executable, "-m", "monodist.cli", "predict", "--image-id", "x", "--out", "o.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("usage: monodist predict")
+        assert proc.stderr.endswith(
+            "monodist predict: error: argument --config: no config given and "
+            f"{cli.CONFIG_ENV_VAR} is unset\n"
+        )
+        assert "Traceback" not in proc.stderr and list(tmp_path.iterdir()) == []
+
+    def test_the_cached_parser_reads_the_environment_on_each_call(self, tmp_path, monkeypatch):
+        cfg = files_config(tmp_path, synth_inputs(tmp_path))
+        argv = f"predict --image-id img0 --out {tmp_path}/o.json"
+        monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+        assert run(argv) == 1
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(cfg))
+        assert run(argv) == 0
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, "")
+        assert run(argv) == 1
+
     def test_deterministic_output(self, tmp_path):
         data = synth_inputs(tmp_path)
         cfg = files_config(tmp_path, data, calibration=IDENT)
@@ -441,6 +465,20 @@ class TestSynthCommand:
         bad = tmp_path / "bad.scene.json"
         bad.write_text("{")
         assert run(f"synth --scene {bad} --out-prefix {tmp_path}/x") == 2
+
+    @pytest.mark.parametrize("prefix, image_id", [("d/bad id", "bad id"), (".", "")])
+    def test_a_prefix_that_predict_cannot_read_back_exit_2(
+        self, tmp_path, monkeypatch, capsys, prefix, image_id
+    ):
+        _, scene_path = write_scene(tmp_path, [])
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        assert run(["synth", "--scene", str(scene_path), "--out-prefix", prefix]) == 2
+        assert capsys.readouterr().err == (
+            f"monodist synth: bad image id {image_id!r}, expected {cli._IMAGE_ID.pattern}\n"
+        )
+        assert list(out.iterdir()) == []
 
     def test_writes_the_pfm_bytes_of_write_pfm(self, tmp_path):
         car = SceneObject("car", 10.0, BoundingBox(5.5, 5, 30, 30.25))

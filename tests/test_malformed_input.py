@@ -231,6 +231,8 @@ BOX = BoundingBox(0, 0, 1, 1)
          "image dimensions must be positive, got -1.00e+5000x1"),
         (lambda: maps.ScalarMap(-HUGE, 1, maps.MapKind.DEPTH, [1.0]), DataError,
          "map dimensions must be positive, got -1.00e+5000x1"),
+        (lambda: maps.ScalarMap(HUGE, 1, maps.MapKind.DEPTH, [1.0]), DataError,
+         "a 1.00e+5000x1 map needs 1.00e+5000 values, got 1"),
         (lambda: roi.IndexRect(-HUGE, 0, 1, 1), DataError,
          "negative rect index in IndexRect(col0=-1.00e+5000, row0=0, col1=1, row1=1)"),
         (lambda: Detection(-HUGE, "car", 0.5, BOX), DataError, "negative class_id -1.00e+5000"),
@@ -256,10 +258,10 @@ BOX = BoundingBox(0, 0, 1, 1)
         (lambda: calib.CalibrationSample(HUGE, 1.0), CalibrationError,
          "sample x must be non-negative finite, got 1.00e+5000"),
     ],
-    ids=["DetectionSet", "ScalarMap", "IndexRect", "Detection.class_id", "SceneSpec",
-         "CalibrationModel.n_samples", "BoundingBox", "DepthRange", "CalibrationModel.c0",
-         "Detection.confidence", "ObjectDistance", "GroundTruthObject", "SceneSpec.seed",
-         "CalibrationSample"],
+    ids=["DetectionSet", "ScalarMap", "ScalarMap.size", "IndexRect", "Detection.class_id",
+         "SceneSpec", "CalibrationModel.n_samples", "BoundingBox", "DepthRange",
+         "CalibrationModel.c0", "Detection.confidence", "ObjectDistance", "GroundTruthObject",
+         "SceneSpec.seed", "CalibrationSample"],
 )
 def test_a_huge_int_argument_raises_the_records_own_error(build, error, message):
     """A record built in Python from an int of any size raises its DataError, with its text."""

@@ -63,6 +63,15 @@ class TestScalarMap:
         with pytest.raises(DataError):
             ScalarMap(width=0, height=1, kind=MapKind.DEPTH, values=np.zeros((1, 0)))
 
+    @pytest.mark.parametrize("width, message", [
+        (2, "a 2x2 map needs 4 values, got 1"),
+        (2**70, "a 1180591620717411303424x2 map needs 2361183241434822606848 values, got 1"),
+    ], ids=["short", "side_past_numpy"])
+    def test_values_that_do_not_fill_the_map(self, width, message):
+        with pytest.raises(DataError) as e:
+            ScalarMap(width=width, height=2, kind=MapKind.DEPTH, values=[1.0])
+        assert type(e.value) is DataError and str(e.value) == message
+
     def test_values_are_read_only(self):
         m = make_map([[0.5]])
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -124,6 +125,49 @@ def test_a_record_reports_its_converted_values():
     detection = Detection(0, "car", 1, BoundingBox(1, 2, 3, 4))
     expected = "rev must be a positive finite distance, got 0.0"
     assert outcome(lambda: ObjectDistance(detection, 0)) == expected
+
+
+PAST_FLOAT64 = 10**400  # an int that json reads and writes, but that float() overflows
+DETECTION = Detection(0, "car", 0.5, BoundingBox(1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("field", ["confidence", "rev_m", "abs_m", "gt abs_m"])
+def test_an_int_past_float64_fails_a_record_and_its_file_alike(field, sign):
+    value = sign * PAST_FLOAT64
+    if field == "gt abs_m":
+        record = outcome(lambda: GroundTruthObject("car", value))
+        data = one_object_file("objects", {"class_name": "car", "abs_m": value})
+        decoded = outcome(lambda: decode_ground_truth(data))
+    elif field == "confidence":
+        record = outcome(lambda: Detection(0, "car", value, DETECTION.bbox))
+        det = {"class_id": 0, "class_name": "car", "confidence": value, "bbox": [1, 2, 3, 4]}
+        data = one_object_file("detections", det, width=9, height=9)
+        decoded = outcome(lambda: parse_detections(data))
+    else:
+        rev, abs_m = (value, None) if field == "rev_m" else (1.0, value)
+        record = outcome(lambda: ObjectDistance(DETECTION, rev, abs_m))
+        obj = {"class_name": "car", "confidence": 0.5, "bbox": [1, 2, 3, 4], "rev_m": rev,
+               "abs_m": abs_m}
+        decoded = outcome(lambda: decode_distances(one_object_file("objects", obj)))
+    assert record is not None and "inf" in record
+    assert decoded == record
+
+
+def test_an_image_side_past_float64_fails_a_record_and_its_file_alike():
+    record = outcome(lambda: DetectionSet("i", PAST_FLOAT64, 9, [DETECTION]))
+    det = {"class_id": 0, "class_name": "car", "confidence": 0.5, "bbox": [1, 2, 3, 4]}
+    data = one_object_file("detections", det, width=PAST_FLOAT64, height=9)
+    assert record == outcome(lambda: parse_detections(data)) == "image or map side past float64"
+
+
+def test_a_box_coordinate_past_float64_is_clamped_as_infinity_is():
+    boxes = []
+    for x1 in (PAST_FLOAT64, math.inf):
+        det = {"class_id": 0, "class_name": "car", "confidence": 0.5, "bbox": [0, 0, x1, 1]}
+        ds = parse_detections(one_object_file("detections", det, width=4, height=4))
+        boxes.append(ds.columns.boxes.tolist())
+    assert boxes == [[[0.0, 0.0, 4.0, 1.0]]] * 2
 
 
 FIT_OVERFLOW = "fit overflows float64; x, y_abs or camera height too extreme"
