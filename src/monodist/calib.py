@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import _decode, _dump
-from .errors import CalibrationError, _float, _shown
+from .errors import CalibrationError, _float, _int, _shown
 
 # Fitted curve reported for the reference outdoor setup (camera height folded in, h = 1)
 REFERENCE_COEFFS = (21.714, -0.5373, 0.0036)
@@ -48,6 +48,7 @@ class CalibrationModel:
             elif not math.isfinite(value):
                 raise CalibrationError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "n_samples", _int(self.n_samples, "n_samples", CalibrationError))
         if self.fit_rmse < 0:
             raise CalibrationError(f"fit_rmse must be non-negative, got {self.fit_rmse}")
         if self.n_samples and self.n_samples < 3:
@@ -122,7 +123,7 @@ def deserialize_model(data: bytes | str) -> CalibrationModel:
             c2=doc["c2"],
             h=doc["h_m"],
             fit_rmse=doc["fit_rmse_m"],
-            n_samples=int(doc["n_samples"]),
+            n_samples=doc["n_samples"],
         )
 
 

@@ -150,10 +150,8 @@ def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
         raise DataError(f"cannot read {e.filename}: {e.strerror}") from None
 
 
-def predict_image(
-    cfg: PipelineConfig, image_id: str
-) -> tuple[detect.Columns, list[roi.RoiFailure]]:
-    """Run the full fusion pipeline for one image.
+def predict_image(cfg: PipelineConfig, image_id: str) -> tuple[detect.Columns, detect.Columns]:
+    """Run the full fusion pipeline for one image: its measured and its failed detections.
 
     confidence filter -> NMS -> median pooling per box (in disparity space
     for a disparity map; only each box's median is converted to depth) ->
@@ -216,8 +214,8 @@ def _cmd_predict(args) -> None:
     for i in np.flatnonzero(negative).tolist():
         print(f"warning: negative calibrated distance {objects.distances[i]:.3f} m for "
               f"{objects.class_names[i]} (rev {objects.rev[i]:.3f} m)", file=sys.stderr)
-    for f in failures:
-        print(f"warning: skipped {f.detection.class_name}: {f.reason}", file=sys.stderr)
+    for name, reason in zip(failures.class_names, failures.reasons):
+        print(f"warning: skipped {name}: {reason}", file=sys.stderr)
     Path(args.out).write_bytes(roi.encode_distances(args.image_id, objects, failures))
 
 

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codec import _Table, _decode, _dump
-from .errors import DataError, DetectionFormatError, _float, _shown
+from .errors import DataError, DetectionFormatError, _float, _int, _shown
 
 DEFAULT_MIN_CONFIDENCE = 0.25
 DEFAULT_IOU_THRESHOLD = 0.45
@@ -47,6 +47,7 @@ class Detection:
     bbox: BoundingBox
 
     def __post_init__(self):
+        object.__setattr__(self, "class_id", _int(self.class_id, "class_id"))
         object.__setattr__(self, "confidence", _float(self.confidence))
         _check_fields([self.class_id], [self.class_name], [self.confidence])
 
@@ -64,6 +65,8 @@ class DetectionSet:
         w, h = self.image_width, self.image_height
         if not (w > 0 and h > 0):  # a NaN side fails too
             raise DataError(f"image dimensions must be positive, got {_shown(w)}x{_shown(h)}")
+        object.__setattr__(self, "image_width", _int(w, "width"))
+        object.__setattr__(self, "image_height", _int(h, "height"))
         d = self.detections
         if not isinstance(d, _Rows):
             columns = d if isinstance(d, Columns) else _columns(tuple(d))
@@ -86,7 +89,8 @@ class Columns(NamedTuple):
     `.det.json` gives class ids, names, confidences and boxes. `.dist.json`
     and `.gt.json` give names, boxes and the `distances` that evaluation
     scores: a prediction's calibrated ABS when present, else its REV, or the
-    ground-truth ABS. Columns that a source lacks are None.
+    ground-truth ABS. `.dist.json` failures give names, boxes and `reasons`.
+    Columns that a source lacks are None.
     """
 
     class_names: list[str]
@@ -96,6 +100,7 @@ class Columns(NamedTuple):
     rev: np.ndarray | None = None
     calibrated: np.ndarray | None = None  # True where ABS is present
     class_ids: list[int] | None = None  # Python ints, so ids beyond int64 still decode
+    reasons: list[str] | None = None  # why each box could not be measured
 
     def take(self, rows: np.ndarray) -> Columns:
         """The objects at the integer `rows`, in that order."""
@@ -214,9 +219,10 @@ def _bbox_array(raws: list) -> np.ndarray:
 def parse_detections(data: bytes | str) -> DetectionSet:
     """Parse the `.det.json` format, checking each column as a whole. Boxes are clamped."""
     with _decode(data, DetectionFormatError, "detection") as doc:
-        image, width, height = str(doc["image"]), int(doc["width"]), int(doc["height"])
+        image = str(doc["image"])
+        width, height = _int(doc["width"], "width"), _int(doc["height"], "height")
         dets = doc["detections"]
-        class_ids = [int(d["class_id"]) for d in dets]
+        class_ids = [_int(d["class_id"], "class_id") for d in dets]
         names = (str(d["class_name"]) for d in dets)  # read lazily, in rule order
         names, conf = _check_fields(class_ids, names, (d["confidence"] for d in dets))
         raws = [d["bbox"] for d in dets]

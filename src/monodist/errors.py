@@ -2,8 +2,8 @@
 
 Everything raised on bad input data derives from DataError so the CLI can
 map it to a single exit code. A record constructor reads its arguments
-through `_float` and formats them through `_shown`, so that an int of any
-size meets the record's own rule and message.
+through `_float` or `_int` and formats them through `_shown`, so that an int
+of any size meets the record's own rule and message.
 """
 import math
 
@@ -42,6 +42,16 @@ def _float(value) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _int(value, name: str, error: type[DataError] = DataError) -> int:
+    """``int(value)``; a float with a fraction, NaN, an infinity or no number raises `error`."""
+    try:
+        if not isinstance(value, float) or value.is_integer():
+            return int(value)
+    except (TypeError, ValueError):  # None, a list, a string that is no int
+        pass
+    raise error(f"{name} must be an integer, got {_shown(value, repr)}")
 
 
 def _shown(value, text=str) -> str:

@@ -145,16 +145,17 @@ def _median_depth(values: np.ndarray, depth_range: DepthRange | None, holes=Fals
 def measure_columns(
     depth: ScalarMap, dets: DetectionSet, depth_range: DepthRange | None = None,
     model: calib.CalibrationModel | None = None,
-) -> tuple[Columns, list[RoiFailure]]:
+) -> tuple[Columns, Columns]:
     """Compute the relative distance (REV) of every detection, calibrated by `model` if given.
 
     REV is the median depth inside the detection's box projected onto the
     grid. A disparity map needs depth_range and is pooled in disparity
     space. A metric depth map pools only its positive pixels, because zero
     or negative depth marks a sensor hole. Degenerate projections and boxes
-    with no valid pixel are recorded as failures, not raised, so a bad box
+    with no valid pixel are returned as failures, not raised, so a bad box
     never aborts the whole image. The measured detections come back in
-    order, with `rev` set to REV and `distances` to ABS (REV without a model).
+    order, with `rev` set to REV and `distances` to ABS (REV without a model);
+    the failed ones in order too, with `reasons` set.
     """
     if depth.kind is MapKind.DISPARITY:
         if depth_range is None:
@@ -176,16 +177,16 @@ def measure_columns(
             failed[i] = f"no positive depth in {IndexRect(col0, row0, col1, row1)}"
         else:
             rev[i] = median
-    failing = dets.take(np.array(list(failed), dtype=np.intp)).detections
-    failures = [RoiFailure(d, reason) for d, reason in zip(failing, failed.values())]
+    failures = dets.columns.take(np.array(list(failed), dtype=np.intp))
     measured = np.flatnonzero(~np.isnan(rev))
     rev = rev[measured]
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below instead
         distances = rev if model is None else calib.apply(model, rev)
     _check_distances(rev, None if model is None else distances)
     calibrated = np.full(len(rev), model is not None)
-    objects = dets.take(measured).columns
-    return objects._replace(distances=distances, rev=rev, calibrated=calibrated), failures
+    objects = dets.columns.take(measured)
+    objects = objects._replace(distances=distances, rev=rev, calibrated=calibrated)
+    return objects, failures._replace(reasons=list(failed.values()))
 
 
 def measure_objects(
@@ -193,7 +194,7 @@ def measure_objects(
 ) -> tuple[list[ObjectDistance], list[RoiFailure]]:
     """`measure_columns` as records."""
     objects, failures = measure_columns(depth, dets, depth_range)
-    return _distance_records(objects), failures
+    return _distance_records(objects), list(map(RoiFailure, _records(failures), failures.reasons))
 
 
 def _distance_columns(objects: list[ObjectDistance]) -> Columns:
@@ -215,24 +216,22 @@ def serialize_distances(
     image_id: str, objects: list[ObjectDistance], failures: list[RoiFailure] | None = None
 ) -> bytes:
     """Canonical `.dist.json` form."""
-    return encode_distances(image_id, _distance_columns(objects), failures)
+    rows = failures or []
+    failed = _columns([f.detection for f in rows])._replace(reasons=[f.reason for f in rows])
+    return encode_distances(image_id, _distance_columns(objects), failed)
 
 
-def encode_distances(
-    image_id: str, objects: Columns, failures: list[RoiFailure] | None = None
-) -> bytes:
-    """`serialize_distances` of measured columns, the inverse of `decode_distances`."""
+def encode_distances(image_id: str, objects: Columns, failures: Columns) -> bytes:
+    """`serialize_distances` of columns; `decode_distances` reads the measured ones back."""
     o = objects
     abs_m = [d if cal else None for d, cal in zip(o.distances.tolist(), o.calibrated.tolist())]
     doc = {"image": image_id, "objects": _Table(
         class_name=o.class_names, confidence=o.confidence.tolist(), bbox=o.boxes.tolist(),
         rev_m=o.rev.tolist(), abs_m=abs_m,
     )}
-    if failures:
-        c = _columns([f.detection for f in failures])
-        doc["failures"] = _Table(
-            class_name=c.class_names, bbox=c.boxes.tolist(), reason=[f.reason for f in failures]
-        )
+    if failures.reasons:  # a file without failures has no such key
+        f = failures
+        doc["failures"] = _Table(class_name=f.class_names, bbox=f.boxes.tolist(), reason=f.reasons)
     return _dump(doc)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .codec import _Table, _decode, _dump
 from .detect import BoundingBox, Columns, DetectionSet, _bbox_list, _check_fields, _coord_array
-from .errors import SceneError, _float, _shown
+from .errors import SceneError, _float, _int, _shown
 from .evaluate import GroundTruthObject
 from .maps import DepthRange, MapKind, ScalarMap, depth_to_disparity_value
 from .roi import _project
@@ -39,6 +39,8 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("map_width", "map_height", "seed"):
+            object.__setattr__(self, name, _int(getattr(self, name), name, SceneError))
         object.__setattr__(self, "background_depth", _float(self.background_depth))
         object.__setattr__(self, "noise_amplitude", _float(self.noise_amplitude))
         dims = f"{_shown(self.map_width)}x{_shown(self.map_height)}"
@@ -55,8 +57,8 @@ class SceneSpec:
         # disparity is clipped to [0, 1], so a larger amplitude only saturates pixels
         if not 0.0 <= self.noise_amplitude <= 1.0:
             raise SceneError(f"noise amplitude must be in [0, 1], got {self.noise_amplitude}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise SceneError(f"seed must be a non-negative integer, got {_shown(self.seed, repr)}")
+        if self.seed < 0:
+            raise SceneError(f"seed must be a non-negative integer, got {_shown(self.seed)}")
         object.__setattr__(self, "objects", tuple(self.objects))
 
 
@@ -119,13 +121,13 @@ def parse_scene(data: bytes | str) -> SceneSpec:
             for o, box in zip(raw, _coord_array([o["bbox"] for o in raw]).tolist())
         )
         return SceneSpec(
-            map_width=int(doc["map_width"]),
-            map_height=int(doc["map_height"]),
+            map_width=doc["map_width"],
+            map_height=doc["map_height"],
             background_depth=doc["background_depth_m"],
             objects=objects,
             depth_range=DepthRange.from_dict(doc.get("depth_range", {})),
             noise_amplitude=doc.get("noise_amplitude", 0.0),
-            seed=int(doc.get("seed", 0)),
+            seed=doc.get("seed", 0),
         )
 
 

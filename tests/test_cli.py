@@ -588,6 +588,41 @@ class TestPredictPooling:
         assert [(o["class_name"], o["rev_m"]) for o in doc["objects"]] == [("car", 20.0)]
         assert [f["class_name"] for f in doc["failures"]] == ["person"]
 
+    def test_failed_boxes_stay_columns(self, tmp_path, monkeypatch, capsys):
+        """A box that projects to an empty rect and one over holes only build no Detection."""
+        vals = np.full((32, 64), 20.0)
+        vals[2:10, 20:30] = 0.0
+        (tmp_path / "img0.pfm").write_bytes(write_pfm(ScalarMap(64, 32, MapKind.DEPTH, vals)))
+        dets = [
+            {"class_id": 0, "class_name": "car", "confidence": 0.9, "bbox": [0, 0, 5e-324, 64]},
+            {"class_id": 1, "class_name": "person", "confidence": 0.8, "bbox": [40, 4, 60, 20]},
+            {"class_id": 2, "class_name": "truck", "confidence": 0.7, "bbox": [4, 24, 24, 40]},
+        ]
+        doc = {"image": "img0", "width": 128, "height": 64, "detections": dets}
+        (tmp_path / "img0.det.json").write_text(json.dumps(doc))
+        cfg = files_config(tmp_path, tmp_path)
+        cfg.write_text(cfg.read_text().replace('"disparity"', '"depth"'))
+        built = []
+        post_init = Detection.__post_init__
+        monkeypatch.setattr(Detection, "__post_init__", lambda d: built.append(d) or post_init(d))
+        out = tmp_path / "img0.dist.json"
+        assert run(f"predict --config {cfg} --image-id img0 --out {out}") == 0
+        assert built == []
+        empty = ("bbox BoundingBox(x0=0.0, y0=0.0, x1=5e-324, y1=64.0) projects to empty rect"
+                 " on a 64x32 grid")
+        holes = "no positive depth in IndexRect(col0=20, row0=2, col1=30, row1=10)"
+        assert capsys.readouterr().err == (
+            f"warning: skipped car: {empty}\nwarning: skipped person: {holes}\n"
+        )
+        expected = {"image": "img0", "objects": [
+            {"class_name": "truck", "confidence": 0.7, "bbox": [4.0, 24.0, 24.0, 40.0],
+             "rev_m": 20.0, "abs_m": None},
+        ], "failures": [
+            {"class_name": "car", "bbox": [0.0, 0.0, 5e-324, 64.0], "reason": empty},
+            {"class_name": "person", "bbox": [40.0, 4.0, 60.0, 20.0], "reason": holes},
+        ]}
+        assert out.read_bytes() == (json.dumps(expected, indent=2) + "\n").encode()
+
 
 class TrickleFile(io.FileIO):
     """A raw file whose every read returns at most 7 bytes."""

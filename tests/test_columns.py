@@ -422,7 +422,6 @@ def reference_predict(det_bytes, depth, model):
     return roi.serialize_distances("img", objects, failures)
 
 
-@settings(max_examples=100)
 @given(predict_inputs())
 def test_columnar_predict_matches_record_chain(inputs):
     det_bytes, pfm, kind, model = inputs

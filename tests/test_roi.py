@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from monodist.detect import BoundingBox, Detection, DetectionSet
+from monodist.detect import BoundingBox, Detection, DetectionSet, _bbox_list
 from monodist.errors import DataError, DegenerateRoiError
 from monodist.maps import DepthRange, MapKind, ScalarMap, disparity_to_depth, read_pfm
 from monodist.roi import (
@@ -372,11 +372,13 @@ class TestBenchScalePooling:
         window = grid[rect.row0 : rect.row1, rect.col0 : rect.col1].astype(np.float64)
         positive = window[window > 0]
         if positive.size:
-            assert fails == []
+            assert fails.reasons == []
             assert objects.rev.tolist() == [float(np.median(positive))]
         else:
             assert len(objects.rev) == 0
-            assert [(f.detection, f.reason) for f in fails] == [(box, f"no positive depth in {rect}")]
+            failed = zip(fails.class_ids, fails.class_names, fails.boxes.tolist(), fails.reasons)
+            reason = f"no positive depth in {rect}"
+            assert list(failed) == [(box.class_id, box.class_name, _bbox_list(box.bbox), reason)]
         # the public median keeps every pixel, holes included
         assert median_depth(m, rect) == float(np.median(window))
 

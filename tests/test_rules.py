@@ -24,13 +24,14 @@ from monodist.detect import (
 from monodist.errors import DataError
 from monodist.evaluate import GroundTruthObject, decode_ground_truth
 from monodist.roi import ObjectDistance, decode_distances
+from monodist.synth import SceneSpec, parse_scene, render_scene
 
 EDGES = [
     math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0, 0.5, 1.0, 1e308, sys.float_info.max,
     5e-324, -5e-324, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
 ]
 edge_floats = st.sampled_from(EDGES) | st.floats()
-class_ids = st.sampled_from([-(2**70), -1, 0, 1, 2**70]) | st.integers()
+class_ids = st.sampled_from([-(2**70), -1, -0.5, 0, 1, 1.5, 2.0, 2**70]) | st.integers()
 names = st.sampled_from(["", "car", "é \" \\"]) | st.text(max_size=3)
 # a box that passes every box rule and lies inside a 100x50 image
 inside_boxes = st.tuples(
@@ -170,6 +171,42 @@ def test_a_box_coordinate_past_float64_is_clamped_as_infinity_is():
     assert boxes == [[[0.0, 0.0, 4.0, 1.0]]] * 2
 
 
+@pytest.mark.parametrize("width, height, message", [
+    (100.9, 50, "width must be an integer, got 100.9"),
+    (100, 50.5, "height must be an integer, got 50.5"),
+    (100.0, 50.0, None),
+    (1e308, 50, None),
+])
+def test_an_image_side_keeps_no_fraction_in_a_record_or_its_file(width, height, message):
+    det = {"class_id": 0, "class_name": "car", "confidence": 0.5, "bbox": [1, 2, 3, 4]}
+    data = one_object_file("detections", det, width=width, height=height)
+    record = outcome(lambda: DetectionSet("i", width, height, [DETECTION]))
+    assert outcome(lambda: parse_detections(data)) == record == message
+
+
+SCENE = {"map_width": 64, "map_height": 48, "background_depth_m": 50.0}
+MODEL = {"c0": 1.0, "c1": 2.0, "c2": 3.0, "h_m": 1.0, "fit_rmse_m": 0.0, "n_samples": 9}
+
+
+@pytest.mark.parametrize("value", [2.5, -0.5, 2.0, 3, -1, math.nan, math.inf, 10**400])
+@pytest.mark.parametrize("field", ["map_width", "map_height", "seed", "n_samples"])
+def test_an_integer_item_keeps_no_fraction_in_a_record_or_its_file(field, value):
+    """A scene or calibration model, and its file, accept or reject an integer item alike."""
+    if field == "n_samples":
+        doc = {**MODEL, field: value}
+        record = outcome(lambda: CalibrationModel(1.0, 2.0, 3.0, 1.0, 0.0, value))
+        decoded = outcome(lambda: deserialize_model(json.dumps(doc)))
+    else:
+        doc = {**SCENE, field: value}
+        spec = (doc["map_width"], doc["map_height"], 50.0)
+        # rendered too, so that a side that passed the scene's rules must draw a map
+        record = outcome(lambda: render_scene(SceneSpec(*spec, seed=doc.get("seed", 0))))
+        decoded = outcome(lambda: render_scene(parse_scene(json.dumps(doc))))
+    assert decoded == record
+    if isinstance(value, float) and not value.is_integer():
+        assert record == f"{field} must be an integer, got {value}"
+
+
 FIT_OVERFLOW = "fit overflows float64; x, y_abs or camera height too extreme"
 
 
@@ -192,6 +229,7 @@ def test_camera_height_agrees_across_model_fit_and_file(h):
 RULE_MESSAGES = [
     "non-finite, negative, inverted or empty bbox {}",
     "negative class_id {}",
+    "{} must be an integer, got {}",
     "empty class_name",
     "confidence {} outside [0, 1]",
     "rev must be a positive finite distance, got {}",
