@@ -105,7 +105,9 @@ class PipelineConfig:
     calibration_model: calib.CalibrationModel | None = None
 
     def __post_init__(self):
-        detect._check_thresholds(self.min_conf, self.iou_threshold)
+        min_conf, iou_threshold = detect._check_thresholds(self.min_conf, self.iou_threshold)
+        object.__setattr__(self, "min_conf", min_conf)
+        object.__setattr__(self, "iou_threshold", iou_threshold)
 
 
 def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
@@ -142,8 +144,8 @@ def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
             return PipelineConfig(
                 backend=backend,
                 depth_range=maps.DepthRange.from_dict(doc.get("depth_range", {})),
-                min_conf=float(doc.get("min_conf", detect.DEFAULT_MIN_CONFIDENCE)),
-                iou_threshold=float(doc.get("iou_threshold", detect.DEFAULT_IOU_THRESHOLD)),
+                min_conf=doc.get("min_conf", detect.DEFAULT_MIN_CONFIDENCE),
+                iou_threshold=doc.get("iou_threshold", detect.DEFAULT_IOU_THRESHOLD),
                 calibration_model=model,
             )
     except OSError as e:  # the config itself, a backend directory or the calibration model

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codec import _Table, _decode, _dump
-from .errors import DataError, DetectionFormatError, _float, _int, _shown
+from .errors import DataError, DetectionFormatError, _dims, _float, _int, _shown
 
 DEFAULT_MIN_CONFIDENCE = 0.25
 DEFAULT_IOU_THRESHOLD = 0.45
@@ -62,11 +62,9 @@ class DetectionSet:
     detections: Sequence[Detection]  # given as records or as the Columns of `.det.json`
 
     def __post_init__(self):
-        w, h = self.image_width, self.image_height
-        if not (w > 0 and h > 0):  # a NaN side fails too
-            raise DataError(f"image dimensions must be positive, got {_shown(w)}x{_shown(h)}")
-        object.__setattr__(self, "image_width", _int(w, "width"))
-        object.__setattr__(self, "image_height", _int(h, "height"))
+        w, h = _dims(self.image_width, self.image_height, "image")
+        object.__setattr__(self, "image_width", w)
+        object.__setattr__(self, "image_height", h)
         d = self.detections
         if not isinstance(d, _Rows):
             columns = d if isinstance(d, Columns) else _columns(tuple(d))
@@ -191,12 +189,14 @@ def _check_fields(class_ids, names: Iterable, confidences: Iterable) -> tuple[li
     return names, conf
 
 
-def _check_thresholds(min_conf=DEFAULT_MIN_CONFIDENCE, iou_threshold=DEFAULT_IOU_THRESHOLD) -> None:
-    """Reject a min_conf outside [0, 1] or an iou_threshold outside (0, 1); a default passes."""
+def _check_thresholds(min_conf, iou_threshold) -> tuple[float, float]:
+    """Both as `_float` reads them; min_conf must lie in [0, 1] and iou_threshold in (0, 1)."""
+    min_conf, iou_threshold = _float(min_conf), _float(iou_threshold)
     if not 0.0 <= min_conf <= 1.0:
         raise DataError(f"min_conf {min_conf} outside [0, 1]")
     if not 0.0 < iou_threshold < 1.0:
         raise DataError(f"iou_threshold {iou_threshold} outside (0, 1)")
+    return min_conf, iou_threshold
 
 
 def _coord_array(raws: list) -> np.ndarray:
@@ -220,7 +220,7 @@ def parse_detections(data: bytes | str) -> DetectionSet:
     """Parse the `.det.json` format, checking each column as a whole. Boxes are clamped."""
     with _decode(data, DetectionFormatError, "detection") as doc:
         image = str(doc["image"])
-        width, height = _int(doc["width"], "width"), _int(doc["height"], "height")
+        width, height = _dims(doc["width"], doc["height"], "image")
         dets = doc["detections"]
         class_ids = [_int(d["class_id"], "class_id") for d in dets]
         names = (str(d["class_name"]) for d in dets)  # read lazily, in rule order
@@ -271,7 +271,7 @@ def iou(
 
 def filter_confidence(ds: DetectionSet, min_conf: float) -> DetectionSet:
     """Keep detections with confidence >= min_conf, order preserved."""
-    _check_thresholds(min_conf=min_conf)
+    min_conf = _check_thresholds(min_conf, DEFAULT_IOU_THRESHOLD)[0]
     return ds.take(np.flatnonzero(ds.columns.confidence >= min_conf))
 
 
@@ -281,7 +281,7 @@ def nms(ds: DetectionSet, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> Detec
     Boxes of different classes never suppress each other. Output is sorted by
     descending confidence; ties broken by original input index.
     """
-    _check_thresholds(iou_threshold=iou_threshold)
+    iou_threshold = _check_thresholds(DEFAULT_MIN_CONFIDENCE, iou_threshold)[1]
     dets = ds.columns
     order = np.argsort(-dets.confidence, kind="stable")
     by_class: dict[int, list[int]] = {}

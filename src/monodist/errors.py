@@ -2,8 +2,8 @@
 
 Everything raised on bad input data derives from DataError so the CLI can
 map it to a single exit code. A record constructor reads its arguments
-through `_float` or `_int` and formats them through `_shown`, so that an int
-of any size meets the record's own rule and message.
+through `_float`, `_int` or `_dims` and formats them through `_shown`, so
+that an int of any size meets the record's own rule and message.
 """
 import math
 
@@ -52,6 +52,14 @@ def _int(value, name: str, error: type[DataError] = DataError) -> int:
     except (TypeError, ValueError):  # None, a list, a string that is no int
         pass
     raise error(f"{name} must be an integer, got {_shown(value, repr)}")
+
+
+def _dims(width, height, what, error=DataError, names=("width", "height")) -> tuple[int, int]:
+    """The sides of an image or a map, each read by `_int`, then both required to be positive."""
+    w, h = _int(width, names[0], error), _int(height, names[1], error)
+    if w <= 0 or h <= 0:
+        raise error(f"{what} dimensions must be positive, got {_shown(w)}x{_shown(h)}")
+    return w, h
 
 
 def _shown(value, text=str) -> str:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, PfmFormatError, _float, _shown
+from .errors import DataError, PfmFormatError, _dims, _float, _shown
 
 
 class MapKind(enum.Enum):
@@ -64,20 +64,19 @@ class ScalarMap:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise DataError(
-                f"map dimensions must be positive, got {_shown(self.width)}x{_shown(self.height)}"
-            )
+        w, h = _dims(self.width, self.height, "map")
+        object.__setattr__(self, "width", w)
+        object.__setattr__(self, "height", h)
         vals = np.asarray(self.values)
         if vals.dtype.char != "f":  # float32 of either byte order: a cast warns on a signalling NaN
             # rows in reading order, so that min/max below meet a tie of -0.0 and 0.0 as read
             vals = np.ascontiguousarray(vals, np.float64)
         # one int comparison: reshape would leak ValueError for too few values or a side past numpy
-        if vals.size != (n := self.width * self.height):
-            w, h = _shown(self.width), _shown(self.height)
-            raise DataError(f"a {w}x{h} map needs {_shown(n)} values, got {vals.size}")
+        if vals.size != (n := w * h):
+            raise DataError(
+                f"a {_shown(w)}x{_shown(h)} map needs {_shown(n)} values, got {vals.size}")
         # a fresh view, so the caller's own array stays writable
-        vals = vals.reshape(self.height, self.width).view()
+        vals = vals.reshape(h, w).view()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         # rows are read in memory order, as a reversed view (a PFM's) takes numpy's slow
@@ -123,12 +122,10 @@ def read_pfm(
     if len(dims) != 2:
         raise PfmFormatError("malformed PFM dimension line")
     try:
-        width, height = int(dims[0]), int(dims[1])
+        width, height = _dims(*map(int, dims), "map", PfmFormatError)
         scale = float(scale)
     except ValueError:
         raise PfmFormatError("malformed PFM header fields") from None
-    if width <= 0 or height <= 0:
-        raise PfmFormatError(f"non-positive PFM dimensions {width}x{height}")
     # the scale's sign is the byte order, so nan or inf says nothing
     if scale == 0.0 or not math.isfinite(scale):
         raise PfmFormatError(f"PFM scale must be finite and non-zero, got {scale}")

@@ -12,7 +12,7 @@ from .detect import (
     BoundingBox, Columns, Detection, DetectionSet, _bbox_array, _bbox_list, _check_column,
     _check_fields, _columns, _coord_array, _floats, _records, _sides,
 )
-from .errors import DataError, DegenerateRoiError, DetectionFormatError, _float, _shown
+from .errors import DataError, DegenerateRoiError, DetectionFormatError, _dims, _float, _shown
 from .maps import DepthRange, MapKind, ScalarMap, disparity_to_depth_value
 
 
@@ -82,6 +82,7 @@ def project_bbox(
     ceiled so that a box thinner than a cell still covers one, then clamped
     to the grid. A rect left empty raises DegenerateRoiError.
     """
+    image_dims, map_dims = _dims(*image_dims, "image"), _dims(*map_dims, "map")
     boxes = _coord_array([_bbox_list(bbox)])
     col0, row0, col1, row1 = _project(boxes, image_dims, map_dims).tolist()[0]
     if col0 >= col1 or row0 >= row1:
@@ -90,14 +91,10 @@ def project_bbox(
 
 
 def _project(boxes: np.ndarray, image_dims: tuple[int, int], map_dims: tuple[int, int]):
-    """`project_bbox` of each (n, 4) box row: int64 rows of col0, row0, col1, row1, maybe empty."""
-    iw, ih = image_dims
-    mw, mh = map_dims
-    if not (iw > 0 and ih > 0 and mw > 0 and mh > 0):  # a NaN side fails too
-        raise DataError("image and map dimensions must be positive")
+    """`project_bbox` of each (n, 4) box row on checked sides: int64 col0, row0, col1, row1 rows."""
     if not len(boxes):  # the image size, which may lie past float64, is only read to scale a box
         return np.empty((0, 4), np.int64)
-    grid, size = _sides([mw, mh] * 2), _sides([iw, ih] * 2)
+    grid, size = _sides([*map_dims] * 2), _sides([*image_dims] * 2)
     with np.errstate(over="ignore"):  # a product past float64 divides first instead
         scaled = boxes * grid
         scaled = np.where(np.isfinite(scaled), scaled / size, boxes / size * grid)

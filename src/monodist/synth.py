@@ -12,7 +12,7 @@ import numpy as np
 
 from .codec import _Table, _decode, _dump
 from .detect import BoundingBox, Columns, DetectionSet, _bbox_list, _check_fields, _coord_array
-from .errors import SceneError, _float, _int, _shown
+from .errors import SceneError, _dims, _float, _int, _shown
 from .evaluate import GroundTruthObject
 from .maps import DepthRange, MapKind, ScalarMap, depth_to_disparity_value
 from .roi import _project
@@ -39,21 +39,21 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("map_width", "map_height", "seed"):
-            object.__setattr__(self, name, _int(getattr(self, name), name, SceneError))
+        names = ("map_width", "map_height")
+        w, h = _dims(self.map_width, self.map_height, "map", SceneError, names)
+        object.__setattr__(self, "map_width", w)
+        object.__setattr__(self, "map_height", h)
+        object.__setattr__(self, "seed", _int(self.seed, "seed", SceneError))
         object.__setattr__(self, "background_depth", _float(self.background_depth))
         object.__setattr__(self, "noise_amplitude", _float(self.noise_amplitude))
-        dims = f"{_shown(self.map_width)}x{_shown(self.map_height)}"
-        if self.map_width <= 0 or self.map_height <= 0:
-            raise SceneError(f"map dimensions must be positive, got {dims}")
         rng = self.depth_range
         if not rng.min_depth <= self.background_depth <= rng.max_depth:
             raise SceneError(f"background depth {self.background_depth} outside range")
         for obj in self.objects:
             if not rng.min_depth <= obj.depth <= rng.max_depth:
                 raise SceneError(f"object depth {obj.depth} outside range")
-            if obj.bbox.x1 > self.map_width or obj.bbox.y1 > self.map_height:
-                raise SceneError(f"object box {obj.bbox} outside {dims} map")
+            if obj.bbox.x1 > w or obj.bbox.y1 > h:
+                raise SceneError(f"object box {obj.bbox} outside {_shown(w)}x{_shown(h)} map")
         # disparity is clipped to [0, 1], so a larger amplitude only saturates pixels
         if not 0.0 <= self.noise_amplitude <= 1.0:
             raise SceneError(f"noise amplitude must be in [0, 1], got {self.noise_amplitude}")

@@ -184,8 +184,8 @@ CAR = {"class_id": 2**70, "class_name": "car", "confidence": 0.5, "bbox": [1, 2,
     ("class_name", "", "empty class_name"),
     ("confidence", 1.5, "outside"),
     ("confidence", -0.5, "outside"),
-    ("width", 0, "empty after clamping"),
-    ("height", -3, "empty after clamping"),
+    ("width", 0, "image dimensions must be positive"),
+    ("height", -3, "image dimensions must be positive"),
 ])
 def test_detections_decoder_edge_cases(field, value, result):
     doc = {"image": "a", "width": 640, "height": 480, "detections": [dict(CAR)]}

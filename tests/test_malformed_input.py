@@ -512,6 +512,31 @@ def test_every_subcommand_keeps_the_exit_code_contract(inputs):
     assert_exit_code_contract(command, {"img0.pfm": PFM, **files, name: payload})
 
 
+# each option and the subcommand that takes it; its value is set in, or added to, that argv
+OPTIONS = {"--camera-height": "calibrate", "--min-conf": "predict", "--iou-threshold": "predict",
+           "--threshold": "evaluate", "--image-size": "annotate", "--image-id": "predict"}
+OPTION_VALUES = ["nan", "-0", "inf", "1e999", "1" + "0" * 4999, "", "0x5", "5x", "x", "1x1x1"]
+
+
+@pytest.mark.parametrize("value", OPTION_VALUES, ids=[
+    "nan", "-0", "inf", "1e999", "5000_digits", "empty", "0x5", "5x", "x", "1x1x1"])
+@pytest.mark.parametrize("option", sorted(OPTIONS))
+def test_every_option_value_keeps_the_exit_code_contract(monkeypatch, option, value):
+    command = OPTIONS[option]
+    args, docs = COMMANDS[command]
+    args = list(args)
+    if option in args:
+        args[args.index(option) + 1] = value
+    else:
+        args += [option, value]
+    monkeypatch.setitem(COMMANDS, command, (args, docs))
+    files = {
+        name: csv_bytes(doc) if name == "s.csv" else json.dumps(doc).encode()
+        for name, doc in docs.items()
+    }
+    assert_exit_code_contract(command, {"img0.pfm": PFM, **files})
+
+
 # each depth_kind with a valid 16x12 map of that kind; the metric one has a sensor hole
 PFMS = {
     "disparity": PFM,

@@ -76,7 +76,7 @@ class TestProjectBbox:
     def test_nan_side_raises_without_warnings(self, image_dims, map_dims):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DataError, match="dimensions must be positive"):
+            with pytest.raises(DataError, match="must be an integer, got nan"):
                 project_bbox(BoundingBox(0, 0, 1, 1), image_dims, map_dims)
 
     @pytest.mark.parametrize("image_dims, map_dims", [

@@ -5,12 +5,14 @@ values must both be accepted, or both be rejected with the same message.
 Values are drawn from the edges of the rules: NaN, the infinities, -0.0, 0,
 -1, 1e308, the largest float, the smallest subnormals and the floats next to 1.
 """
+import contextlib
 import json
 import math
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from monodist.detect import (
 )
 from monodist.errors import DataError
 from monodist.evaluate import GroundTruthObject, decode_ground_truth
+from monodist.maps import MapKind, ScalarMap, read_pfm
 from monodist.roi import ObjectDistance, decode_distances
 from monodist.synth import SceneSpec, parse_scene, render_scene
 
@@ -185,6 +188,84 @@ def test_an_image_side_keeps_no_fraction_in_a_record_or_its_file(width, height, 
 
 
 SCENE = {"map_width": 64, "map_height": 48, "background_depth_m": 50.0}
+
+
+@contextlib.contextmanager
+def ints_of_any_length():
+    """Let ``str``, and so json, write and read an int past sys.get_int_max_str_digits()."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("value", [PAST_FLOAT64, -PAST_FLOAT64, 10**5000],
+                         ids=["1e400", "-1e400", "1e5000"])
+@pytest.mark.parametrize("field", ["min_conf", "iou_threshold"])
+def test_a_threshold_past_float64_reads_as_the_infinity_of_its_sign(tmp_path, field, value):
+    """A config, its file, and the filter or NMS stage read the threshold as `_float` does."""
+    interval = "[0, 1]" if field == "min_conf" else "(0, 1)"
+    expected = f"{field} {'inf' if value > 0 else '-inf'} outside {interval}"
+    backend = cli.BackendConfig(cli.BackendMode.FILES, tmp_path, tmp_path)
+    config = outcome(lambda: cli.PipelineConfig(backend, **{field: value}))
+    stage = filter_confidence if field == "min_conf" else nms
+    ds = DetectionSet("i", 100, 50, [DETECTION])
+    assert outcome(lambda: stage(ds, value)) == config == expected
+    doc = {"backend": {"mode": "files", "depth_dir": ".", "det_dir": "."}, field: value}
+    with ints_of_any_length():
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert outcome(lambda: cli.load_config(tmp_path / "c.json")) == expected
+
+
+# a side, and the rule it breaks: the integer rule, the positive rule, or none
+SIDE_RULES = [
+    (0, "positive"), (-1, "positive"), (math.nan, "integer"), (2.5, "integer"), (2.0, None),
+    ("2", None), (None, "integer"), (PAST_FLOAT64, None), (-(10**5000), "positive"),
+]
+SIDE_IDS = ["0", "-1", "nan", "2.5", "2.0", "str", "None", "1e400", "-1e5000"]
+CAR_2X2 = {"class_id": 0, "class_name": "car", "confidence": 0.5, "bbox": [0, 0, 1, 1]}
+
+
+def side_message(rule, what, names, sides, at):
+    """The message of the side rule that `sides[at]` breaks; None where it breaks none."""
+    if rule == "integer":
+        return f"{names[at]} must be an integer, got {sides[at]!r}"
+    if rule == "positive":
+        return f"{what} dimensions must be positive, got {int(sides[0])}x{int(sides[1])}"
+    return None
+
+
+@pytest.mark.parametrize("at", [0, 1], ids=["width", "height"])
+@pytest.mark.parametrize("side, rule", SIDE_RULES, ids=SIDE_IDS)
+def test_an_image_or_a_map_side_meets_one_rule_in_a_record_and_its_file(side, rule, at):
+    """Each side is read as an integer, then both must be positive: one order, one message."""
+    sides = [side, 2] if at == 0 else [2, side]
+    w, h = sides
+    with ints_of_any_length():  # so that json writes and reads -10**5000
+        for dets in ([], [CAR_2X2]):  # a side past float64 fails only once it scales a box
+            records = [Detection(0, "car", 0.5, BoundingBox(*d["bbox"])) for d in dets]
+            record = outcome(lambda: DetectionSet("i", w, h, records))
+            doc = {"image": "i", "width": w, "height": h, "detections": dets}
+            assert outcome(lambda: parse_detections(json.dumps(doc))) == record
+            if rule:
+                assert record == side_message(rule, "image", ("width", "height"), sides, at)
+        record = outcome(lambda: SceneSpec(w, h, 50.0))
+        doc = {**SCENE, "map_width": w, "map_height": h}
+        assert outcome(lambda: parse_scene(json.dumps(doc))) == record
+        assert record == side_message(rule, "map", ("map_width", "map_height"), sides, at)
+        record = outcome(lambda: ScalarMap(w, h, MapKind.DEPTH, np.ones(4)))
+        if rule:
+            assert record == side_message(rule, "map", ("width", "height"), sides, at)
+        else:  # a side that passes must hold its values
+            n = int(w) * int(h)
+            assert record == (None if n == 4 else f"a {w}x{h} map needs {n} values, got 4")
+        if rule == "positive":  # a PFM header holds only integers
+            pfm = b"Pf\n%d %d\n-1.0\n" % (w, h)
+            assert outcome(lambda: read_pfm(pfm)) == record
+
+
 MODEL = {"c0": 1.0, "c1": 2.0, "c2": 3.0, "h_m": 1.0, "fit_rmse_m": 0.0, "n_samples": 9}
 
 
@@ -230,6 +311,7 @@ RULE_MESSAGES = [
     "non-finite, negative, inverted or empty bbox {}",
     "negative class_id {}",
     "{} must be an integer, got {}",
+    "{} dimensions must be positive, got {}x{}",
     "empty class_name",
     "confidence {} outside [0, 1]",
     "rev must be a positive finite distance, got {}",
