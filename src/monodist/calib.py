@@ -22,13 +22,14 @@ class CalibrationSample:
     y_abs: float
 
     def __post_init__(self):
+        x, y_abs = self.x, self.y_abs  # each rule shows the value as given
+        object.__setattr__(self, "x", _float(x, "sample x", CalibrationError))
+        object.__setattr__(self, "y_abs", _float(y_abs, "sample y_abs", CalibrationError))
         # x = 0 (object at the near edge of the field of view) is a valid anchor point
-        if not (self.x >= 0 and math.isfinite(_float(self.x))):
-            raise CalibrationError(f"sample x must be non-negative finite, got {_shown(self.x)}")
-        if not (self.y_abs > 0 and math.isfinite(_float(self.y_abs))):
-            raise CalibrationError(
-                f"sample y_abs must be positive finite, got {_shown(self.y_abs)}"
-            )
+        if not (self.x >= 0 and math.isfinite(self.x)):
+            raise CalibrationError(f"sample x must be non-negative finite, got {_shown(x)}")
+        if not (self.y_abs > 0 and math.isfinite(self.y_abs)):
+            raise CalibrationError(f"sample y_abs must be positive finite, got {_shown(y_abs)}")
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,9 @@ class CalibrationModel:
 
     def __post_init__(self):
         for name in ("c0", "c1", "c2", "h", "fit_rmse"):
-            value = _float(getattr(self, name))
-            if name == "h":
-                _check_height(value)
-            elif not math.isfinite(value):
+            if name == "h":  # read as fit_quadratic reads its h
+                value = _check_height(self.h)
+            elif not math.isfinite(value := _float(getattr(self, name), name, CalibrationError)):
                 raise CalibrationError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "n_samples", _int(self.n_samples, "n_samples", CalibrationError))
@@ -55,10 +55,12 @@ class CalibrationModel:
             raise CalibrationError(f"fitted model needs >= 3 samples, got {_shown(self.n_samples)}")
 
 
-def _check_height(h: float) -> None:
-    """The camera-height rule: positive and finite."""
+def _check_height(h) -> float:
+    """`h` as `_float` reads it, which the camera-height rule requires positive and finite."""
+    h = _float(h, "camera height", CalibrationError)
     if not (h > 0 and math.isfinite(h)):
         raise CalibrationError(f"camera height must be positive finite, got {h}")
+    return h
 
 
 def fit_quadratic(samples: list[CalibrationSample], h: float) -> CalibrationModel:
@@ -68,7 +70,7 @@ def fit_quadratic(samples: list[CalibrationSample], h: float) -> CalibrationMode
     each column divided by its largest magnitude so that the system stays
     well conditioned for large x.
     """
-    _check_height(h)
+    h = _check_height(h)
     xs = np.array([s.x for s in samples], dtype=np.float64)
     ys = np.array([s.y_abs for s in samples], dtype=np.float64)
     if len(np.unique(xs)) < 3:
@@ -144,9 +146,8 @@ def read_samples_csv(data: bytes | str) -> list[CalibrationSample]:
     for i, row in enumerate(rows):
         if None in row:  # DictReader files the fields past the header under None
             raise CalibrationError(f"sample row {i}: {2 + len(row[None])} fields, header has 2")
-        x, y_abs = row.values()  # by position: the header's names may carry spaces
-        try:
-            samples.append(CalibrationSample(x=float(x), y_abs=float(y_abs)))
-        except (TypeError, ValueError) as e:
+        try:  # by position: the header's names may carry spaces
+            samples.append(CalibrationSample(*row.values()))
+        except CalibrationError as e:
             raise CalibrationError(f"sample row {i}: {e}") from None
     return samples

@@ -52,6 +52,15 @@ class BackendConfig:
     det: Path | str
     depth_kind: maps.MapKind = maps.MapKind.DISPARITY
 
+    def __post_init__(self):
+        if self.mode is BackendMode.PROCESS:
+            for key, source in (("depth_command", self.depth), ("det_command", self.det)):
+                try:
+                    source.format(image_id="x")
+                except (KeyError, IndexError, ValueError, AttributeError, TypeError) as e:
+                    raise DataError(f"{key} {source!r} substitutes only {{image_id}} ({e!r}): "
+                                    "literal braces must be doubled, {{ and }}") from None
+
     def fetch_depth_bytes(self, image_id: str) -> bytes | np.ndarray:
         return self._fetch(self.depth, image_id, ".pfm", "depth map")
 
@@ -63,7 +72,7 @@ class BackendConfig:
     ) -> bytes | np.ndarray:
         _check_image_id(image_id, BackendError)
         if self.mode is BackendMode.FILES:
-            path = source / f"{image_id}{suffix}"
+            path = Path(source) / f"{image_id}{suffix}"
             if not path.is_file():
                 raise BackendError(f"missing {what} {path}")
             if suffix != ".pfm":
@@ -129,12 +138,6 @@ def load_config(path: Path, overrides: dict | None = None) -> PipelineConfig:
                     source = base / source
                     if not source.is_dir():
                         raise DataError(f"{key} {source} is not a directory")
-                else:
-                    try:
-                        source.format(image_id="x")
-                    except (KeyError, IndexError, ValueError, AttributeError, TypeError) as e:
-                        raise DataError(f"{key} {source!r} substitutes only {{image_id}} ({e!r}): "
-                                        "literal braces must be doubled, {{ and }}") from None
                 sources.append(source)
             backend = BackendConfig(mode, *sources, maps.MapKind(b.get("depth_kind", "disparity")))
             model = None

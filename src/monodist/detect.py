@@ -27,7 +27,7 @@ class BoundingBox:
 
     def __post_init__(self):
         for name in ("x0", "y0", "x1", "y1"):
-            object.__setattr__(self, name, _float(getattr(self, name)))
+            object.__setattr__(self, name, _float(getattr(self, name), "bbox coordinate"))
         _bbox_array([_bbox_list(self)])
 
     @property
@@ -48,8 +48,10 @@ class Detection:
 
     def __post_init__(self):
         object.__setattr__(self, "class_id", _int(self.class_id, "class_id"))
-        object.__setattr__(self, "confidence", _float(self.confidence))
-        _check_fields([self.class_id], [self.class_name], [self.confidence])
+        object.__setattr__(self, "class_name", str(self.class_name))  # as a file's is read
+        conf = _check_fields([self.class_id], [self.class_name], [self.confidence])[1]
+        object.__setattr__(self, "confidence", conf.item())
+        _bbox(self.bbox)
 
 
 @dataclass(frozen=True)
@@ -155,12 +157,19 @@ def _bbox_list(box: BoundingBox) -> list[float]:
     return [box.x0, box.y0, box.x1, box.y1]
 
 
-def _floats(values: list) -> np.ndarray:
-    """A float64 column of decoded JSON values, each converted as a record's ``_float`` does."""
+def _bbox(bbox, error: type[DataError] = DataError) -> BoundingBox:
+    """A record's `bbox`, which must be a BoundingBox."""
+    if not isinstance(bbox, BoundingBox):
+        raise error(f"bbox must be a BoundingBox, got {_shown(bbox, repr)}")
+    return bbox
+
+
+def _floats(values: list, name: str) -> np.ndarray:
+    """A float64 column of decoded JSON values of the field `name`, each read as `_float` does."""
     try:
         return np.fromiter(map(float, values), np.float64, len(values))
-    except OverflowError:  # an int past float64: the slower conversion, only for its column
-        return np.fromiter(map(_float, values), np.float64, len(values))
+    except (OverflowError, TypeError, ValueError):  # past float64 or no number: the slow reader
+        return np.fromiter((_float(v, name) for v in values), np.float64, len(values))
 
 
 def _sides(sides: list) -> np.ndarray:
@@ -184,14 +193,14 @@ def _check_fields(class_ids, names: Iterable, confidences: Iterable) -> tuple[li
     names = list(names)
     if not all(names):
         raise DataError("empty class_name")
-    conf = _floats(list(confidences))
+    conf = _floats(list(confidences), "confidence")
     _check_column((conf >= 0.0) & (conf <= 1.0), conf, "confidence {} outside [0, 1]")
     return names, conf
 
 
 def _check_thresholds(min_conf, iou_threshold) -> tuple[float, float]:
     """Both as `_float` reads them; min_conf must lie in [0, 1] and iou_threshold in (0, 1)."""
-    min_conf, iou_threshold = _float(min_conf), _float(iou_threshold)
+    min_conf, iou_threshold = _float(min_conf, "min_conf"), _float(iou_threshold, "iou_threshold")
     if not 0.0 <= min_conf <= 1.0:
         raise DataError(f"min_conf {min_conf} outside [0, 1]")
     if not 0.0 < iou_threshold < 1.0:
@@ -204,7 +213,7 @@ def _coord_array(raws: list) -> np.ndarray:
     bad = [raw for raw in raws if not (isinstance(raw, list) and len(raw) == 4)]
     if bad:
         raise DataError(f"bbox must be a 4-element list, got {bad[0]!r}")
-    return _floats([c for raw in raws for c in raw]).reshape(-1, 4)
+    return _floats([c for raw in raws for c in raw], "bbox coordinate").reshape(-1, 4)
 
 
 def _bbox_array(raws: list) -> np.ndarray:
@@ -256,8 +265,9 @@ def iou(
     area), returns the (n, m) IoU matrix. Both forms compute
     inter / (area_a + area_b - inter) with the same float64 operations.
     """
-    if isinstance(a, BoundingBox):
-        return float(iou(_coord_array([_bbox_list(a)]), _coord_array([_bbox_list(b)]))[0, 0])
+    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):  # two BoundingBoxes
+        a, b = (_coord_array([_bbox_list(_bbox(box))]) for box in (a, b))
+        return float(iou(a, b)[0, 0])
     ax0, ay0, ax1, ay1 = a.T[:, :, None]
     bx0, by0, bx1, by1 = b.T
     ix = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)

@@ -36,20 +36,23 @@ class BackendError(DataError):
     """Depth/detection backend failed to produce its output."""
 
 
-def _float(value) -> float:
-    """``float(value)``; an int past float64 becomes the infinity of its sign, as ``1e999`` does."""
+def _float(value, name: str, error: type[DataError] = DataError) -> float:
+    """``float(value)``; past float64 an int is the infinity of its sign; no number raises."""
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a number, got {_shown(value, repr)}") from None
 
 
 def _int(value, name: str, error: type[DataError] = DataError) -> int:
-    """``int(value)``; a float with a fraction, NaN, an infinity or no number raises `error`."""
+    """``int(value)``; a number with a fraction, NaN, an infinity or no number raises `error`."""
     try:
-        if not isinstance(value, float) or value.is_integer():
-            return int(value)
-    except (TypeError, ValueError):  # None, a list, a string that is no int
+        n = int(value)
+        if n == value or isinstance(value, str):  # a string such as "2" reads as int reads it
+            return n
+    except (TypeError, ValueError, OverflowError):  # None, a list, "2.5", NaN, an infinity
         pass
     raise error(f"{name} must be an integer, got {_shown(value, repr)}")
 
@@ -66,7 +69,7 @@ def _shown(value, text=str) -> str:
     """``text(value)`` for a message; an int too long for ``str`` is abbreviated, as -1.00e+5000."""
     try:
         return text(value)
-    except ValueError:  # past sys.get_int_max_str_digits()
+    except ValueError:  # an int past sys.get_int_max_str_digits(), alone or in a container
         from decimal import Decimal  # converts an int of any length exactly
 
-        return f"{Decimal(value):.2e}"
+        return f"{Decimal(value):.2e}" if isinstance(value, int) else f"a {type(value).__name__}"

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codec import _Table, _decode, _dump
-from .detect import BoundingBox, _bbox_array, _bbox_list, _check_column, _floats, _Rows, iou
+from .detect import BoundingBox, _bbox, _bbox_array, _bbox_list, _check_column, _floats, _Rows, iou
 from .errors import DataError, DetectionFormatError, _float
 from .roi import Columns, ObjectDistance, _distance_columns, decode_distances
 
@@ -25,8 +25,12 @@ class GroundTruthObject:
     bbox: BoundingBox | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "abs_distance", _float(self.abs_distance))
+        object.__setattr__(self, "class_name", str(self.class_name))  # as a file's is read
+        distance = _float(self.abs_distance, "ground-truth distance")
+        object.__setattr__(self, "abs_distance", distance)
         _check_truths(np.array([self.abs_distance]))
+        if self.bbox is not None:
+            _bbox(self.bbox)
 
 
 @dataclass(frozen=True)
@@ -37,8 +41,8 @@ class MatchedPair:
     error: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "predicted", float(self.predicted))
-        object.__setattr__(self, "truth", float(self.truth))
+        object.__setattr__(self, "predicted", _float(self.predicted, "predicted"))
+        object.__setattr__(self, "truth", _float(self.truth, "truth"))
         object.__setattr__(self, "error", abs(self.predicted - self.truth))
 
 
@@ -89,7 +93,7 @@ def match_objects(
 ) -> tuple[list[MatchedPair], int, int]:
     """`match_columns` on prediction and ground-truth records."""
     boxes = _truth_boxes([None if gt.bbox is None else _bbox_list(gt.bbox) for gt in gts])
-    truths = Columns([gt.class_name for gt in gts], boxes, _floats([gt.abs_distance for gt in gts]))
+    truths = Columns([g.class_name for g in gts], boxes, np.array([g.abs_distance for g in gts]))
     p = _distance_columns(preds)
     rows = match_columns(p, truths)
     pairs = [MatchedPair(p.class_names[i], p.distances[i], truths.distances[j]) for i, j in rows]
@@ -155,6 +159,7 @@ def threshold_accuracy(pairs: list[MatchedPair], t: float) -> float:
     """Fraction of pairs with error strictly below t."""
     if not pairs:
         raise DataError("accuracy of an empty pair list is undefined")
+    t = _float(t, "threshold")
     if not (t > 0 and math.isfinite(t)):
         raise DataError(f"threshold must be a positive finite distance, got {t}")
     return sum(1 for e in _pair_rows(pairs).columns.error_m if e < t) / len(pairs)
@@ -167,7 +172,7 @@ def build_report(
     t: float = DEFAULT_ACCURACY_THRESHOLD_M,
 ) -> MetricsReport:
     pairs = _pair_rows(pairs)
-    scores = rmse(pairs), threshold_accuracy(pairs, t), t
+    scores = rmse(pairs), threshold_accuracy(pairs, t), _float(t, "threshold")
     return MetricsReport(pairs, *scores, unmatched_predictions, unmatched_truths)
 
 
@@ -219,7 +224,7 @@ def decode_ground_truth(data: bytes | str) -> tuple[str, Columns]:
     with _decode(data, DetectionFormatError, "ground-truth") as doc:
         image, objects = str(doc["image"]), doc["objects"]
         names = [str(o["class_name"]) for o in objects]
-        distances = _floats([o["abs_m"] for o in objects])
+        distances = _floats([o["abs_m"] for o in objects], "ground-truth distance")
         _check_truths(distances)
         return image, Columns(names, _truth_boxes([o.get("bbox") for o in objects]), distances)
 

@@ -24,8 +24,8 @@ class DepthRange:
     max_depth: float = 100.0
 
     def __post_init__(self):
-        object.__setattr__(self, "min_depth", _float(self.min_depth))
-        object.__setattr__(self, "max_depth", _float(self.max_depth))
+        object.__setattr__(self, "min_depth", _float(self.min_depth, "min_depth"))
+        object.__setattr__(self, "max_depth", _float(self.max_depth, "max_depth"))
         lo, hi = self.min_depth, self.max_depth
         # the disparity bounds 1/max and 1/min, distinct as the inverse divides by their span,
         # and the depth 1/(1/max) of the lower one

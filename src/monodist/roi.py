@@ -44,10 +44,11 @@ class ObjectDistance:
     abs: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rev", _float(self.rev))
+        object.__setattr__(self, "rev", _float(self.rev, "rev"))
+        _check_distances(np.array([self.rev]))  # before ABS is read, as in a file
         if self.abs is not None:
-            object.__setattr__(self, "abs", _float(self.abs))
-        _check_distances(np.array([self.rev]), None if self.abs is None else np.array([self.abs]))
+            object.__setattr__(self, "abs", _float(self.abs, "abs"))
+            _check_distances(np.array([self.rev]), np.array([self.abs]))
 
 
 @dataclass(frozen=True)
@@ -239,11 +240,11 @@ def decode_distances(data: bytes | str) -> tuple[str, Columns]:
         names = (str(o["class_name"]) for o in objects)  # read lazily, in rule order
         names, conf = _check_fields(None, names, (o["confidence"] for o in objects))
         boxes = _bbox_array([o["bbox"] for o in objects])
-        rev = _floats([o["rev_m"] for o in objects])
+        rev = _floats([o["rev_m"] for o in objects], "rev")
         _check_distances(rev)  # before the ABS fields are read, so that a bad REV is named first
         abs_m = [o["abs_m"] for o in objects]
         calibrated = np.array([a is not None for a in abs_m], dtype=bool)
-        abs_ = _floats([a if a is not None else 0.0 for a in abs_m])
+        abs_ = _floats([a if a is not None else 0.0 for a in abs_m], "abs")
         _check_distances(rev, abs_)
         return image, Columns(names, boxes, np.where(calibrated, abs_, rev), conf, rev, calibrated)
 

@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import _Table, _decode, _dump
-from .detect import BoundingBox, Columns, DetectionSet, _bbox_list, _check_fields, _coord_array
+from .detect import (
+    BoundingBox, Columns, DetectionSet, _bbox, _bbox_list, _check_fields, _coord_array,
+)
 from .errors import SceneError, _dims, _float, _int, _shown
 from .evaluate import GroundTruthObject
 from .maps import DepthRange, MapKind, ScalarMap, depth_to_disparity_value
@@ -25,7 +27,9 @@ class SceneObject:
     bbox: BoundingBox
 
     def __post_init__(self):
-        object.__setattr__(self, "depth", _float(self.depth))
+        object.__setattr__(self, "class_name", str(self.class_name))  # as a file's is read
+        object.__setattr__(self, "depth", _float(self.depth, "depth", SceneError))
+        _bbox(self.bbox, SceneError)
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,8 @@ class SceneSpec:
         object.__setattr__(self, "map_width", w)
         object.__setattr__(self, "map_height", h)
         object.__setattr__(self, "seed", _int(self.seed, "seed", SceneError))
-        object.__setattr__(self, "background_depth", _float(self.background_depth))
-        object.__setattr__(self, "noise_amplitude", _float(self.noise_amplitude))
+        for name in ("background_depth", "noise_amplitude"):
+            object.__setattr__(self, name, _float(getattr(self, name), name, SceneError))
         rng = self.depth_range
         if not rng.min_depth <= self.background_depth <= rng.max_depth:
             raise SceneError(f"background depth {self.background_depth} outside range")
@@ -112,14 +116,8 @@ def parse_scene(data: bytes | str) -> SceneSpec:
     """Parse the `.scene.json` format."""
     with _decode(data, SceneError, "scene") as doc:
         raw = doc.get("objects", [])
-        objects = tuple(
-            SceneObject(
-                class_name=str(o["class_name"]),
-                depth=o["depth_m"],
-                bbox=BoundingBox(*box),
-            )
-            for o, box in zip(raw, _coord_array([o["bbox"] for o in raw]).tolist())
-        )
+        boxes = [BoundingBox(*box) for box in _coord_array([o["bbox"] for o in raw]).tolist()]
+        objects = tuple(SceneObject(o["class_name"], o["depth_m"], b) for o, b in zip(raw, boxes))
         return SceneSpec(
             map_width=doc["map_width"],
             map_height=doc["map_height"],

@@ -23,7 +23,7 @@ from conftest import checkout_env
 from monodist import cli, evaluate, synth
 from monodist.calib import REFERENCE_COEFFS, CalibrationModel, serialize_model
 from monodist.detect import BoundingBox, Detection, DetectionSet, serialize_detections
-from monodist.errors import BackendError, PfmFormatError
+from monodist.errors import BackendError, DataError, PfmFormatError
 from monodist.maps import MapKind, ScalarMap, read_pfm, write_pfm
 from monodist.roi import ObjectDistance, parse_distances, serialize_distances
 from monodist.synth import SceneObject, SceneSpec, serialize_scene
@@ -316,6 +316,33 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "depth_command" in err and "literal braces must be doubled" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["depth_command", "det_command"])
+    @pytest.mark.parametrize("template", ["cat {foo}.pfm", "cat {0}", "cat {image_id", 5])
+    def test_a_backend_config_and_its_file_reject_a_template_alike(self, tmp_path, key, template):
+        """The template rule is the record's own: a BackendConfig fails as a config file does."""
+        commands = {"depth_command": "true", "det_command": "true", key: template}
+        with pytest.raises(DataError) as record:
+            cli.BackendConfig(cli.BackendMode.PROCESS, commands["depth_command"],
+                              commands["det_command"])
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"backend": {"mode": "process", **commands}}))
+        with pytest.raises(DataError) as decoded:
+            cli.load_config(cfg)
+        assert str(record.value).startswith(f"{key} {template!r} substitutes only {{image_id}}")
+        if isinstance(template, str):  # a config file requires a string
+            assert str(decoded.value) == str(record.value)
+        else:
+            assert str(decoded.value) == f"process backend requires {key}"
+
+    def test_a_files_backend_joins_a_str_directory_as_a_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "frames").mkdir()
+        (tmp_path / "frames" / "x.det.json").write_bytes(b"{}")
+        backend = cli.BackendConfig(cli.BackendMode.FILES, "frames", "frames")
+        assert backend.fetch_detection_bytes("x") == b"{}"
+        with pytest.raises(BackendError, match="missing depth map frames/x.pfm"):
+            backend.fetch_depth_bytes("x")
 
     def test_doubled_braces_in_a_template_are_literal(self, tmp_path):
         data = synth_inputs(tmp_path)

@@ -257,11 +257,22 @@ BOX = BoundingBox(0, 0, 1, 1)
          "seed must be a non-negative integer, got -1.00e+5000"),
         (lambda: calib.CalibrationSample(HUGE, 1.0), CalibrationError,
          "sample x must be non-negative finite, got 1.00e+5000"),
+        (lambda: evaluate.build_report([evaluate.MatchedPair("car", HUGE, 1.0)], 0, 0),
+         DataError, "rmse overflows float64; distances too large"),
+        (lambda: evaluate.threshold_accuracy([evaluate.MatchedPair("car", 2.0, 1.0)], HUGE),
+         DataError, "threshold must be a positive finite distance, got inf"),
+        (lambda: calib.fit_quadratic(
+            [calib.CalibrationSample(x, y) for x, y in ((1, 2), (2, 3), (3, 5))], h=HUGE),
+         CalibrationError, "camera height must be positive finite, got inf"),
+        # a container whose repr needs an int too long for str is shown by its type
+        (lambda: BoundingBox([HUGE], 0, 1, 1), DataError,
+         "bbox coordinate must be a number, got a list"),
     ],
     ids=["DetectionSet", "ScalarMap", "ScalarMap.size", "IndexRect", "Detection.class_id",
          "SceneSpec", "CalibrationModel.n_samples", "BoundingBox", "DepthRange",
          "CalibrationModel.c0", "Detection.confidence", "ObjectDistance", "GroundTruthObject",
-         "SceneSpec.seed", "CalibrationSample"],
+         "SceneSpec.seed", "CalibrationSample", "build_report", "threshold_accuracy",
+         "fit_quadratic", "BoundingBox.list"],
 )
 def test_a_huge_int_argument_raises_the_records_own_error(build, error, message):
     """A record built in Python from an int of any size raises its DataError, with its text."""

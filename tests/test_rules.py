@@ -18,16 +18,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import monodist
-from monodist import cli
-from monodist.calib import CalibrationModel, CalibrationSample, deserialize_model, fit_quadratic
-from monodist.detect import (
-    BoundingBox, Detection, DetectionSet, filter_confidence, nms, parse_detections,
+from monodist import cli, evaluate
+from monodist.calib import (
+    CalibrationModel, CalibrationSample, deserialize_model, fit_quadratic, read_samples_csv,
 )
-from monodist.errors import DataError
-from monodist.evaluate import GroundTruthObject, decode_ground_truth
-from monodist.maps import MapKind, ScalarMap, read_pfm
+from monodist.detect import (
+    BoundingBox, Detection, DetectionSet, filter_confidence, iou, nms, parse_detections,
+    serialize_detections,
+)
+from monodist.errors import DataError, SceneError
+from monodist.evaluate import (
+    GroundTruthObject, decode_ground_truth, parse_ground_truth, serialize_ground_truth,
+)
+from monodist.maps import DepthRange, MapKind, ScalarMap, read_pfm
 from monodist.roi import ObjectDistance, decode_distances
-from monodist.synth import SceneSpec, parse_scene, render_scene
+from monodist.synth import SceneObject, SceneSpec, parse_scene, render_scene, serialize_scene
 
 EDGES = [
     math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0, 0.5, 1.0, 1e308, sys.float_info.max,
@@ -35,7 +40,8 @@ EDGES = [
 ]
 edge_floats = st.sampled_from(EDGES) | st.floats()
 class_ids = st.sampled_from([-(2**70), -1, -0.5, 0, 1, 1.5, 2.0, 2**70]) | st.integers()
-names = st.sampled_from(["", "car", "é \" \\"]) | st.text(max_size=3)
+# a name that is no str is read by str, in a record as in its file
+names = st.sampled_from(["", "car", "é \" \\", 0, 5, None, True]) | st.text(max_size=3)
 # a box that passes every box rule and lies inside a 100x50 image
 inside_boxes = st.tuples(
     st.floats(0, 40), st.floats(0, 20), st.floats(1, 50), st.floats(1, 25)
@@ -66,6 +72,9 @@ def test_detection_agrees_with_det_json(class_id, name, confidence, box):
     data = one_object_file("detections", obj, width=100, height=50)
     record = outcome(lambda: Detection(class_id, name, confidence, BoundingBox(*box)))
     assert outcome(lambda: parse_detections(data)) == record
+    if record is None:  # a written file reads back equal
+        ds = DetectionSet("i", 100, 50, [Detection(class_id, name, confidence, BoundingBox(*box))])
+        assert parse_detections(serialize_detections(ds)) == ds
 
 
 # The record is built box first, the file is read name, confidence and box in
@@ -98,6 +107,33 @@ def test_ground_truth_agrees_with_gt_json(name, distance, box, vary_distance):
         lambda: GroundTruthObject(name, distance, None if box is None else BoundingBox(*box))
     )
     assert outcome(lambda: decode_ground_truth(data)) == record
+    if record is None:  # a written file reads back equal
+        gts = [GroundTruthObject(name, distance, None if box is None else BoundingBox(*box))]
+        assert parse_ground_truth(serialize_ground_truth("i", gts)) == ("i", gts)
+
+
+@given(names)
+def test_a_scene_object_reads_its_class_name_as_its_file_does(name):
+    obj = {"class_name": name, "depth_m": 10.0, "bbox": [1, 2, 3, 4]}
+    spec = SceneSpec(64, 48, 50.0, (SceneObject(name, 10.0, BoundingBox(1, 2, 3, 4)),))
+    assert parse_scene(json.dumps({**SCENE, "objects": [obj]})) == spec
+    assert parse_scene(serialize_scene(spec)) == spec
+    if name != "":  # an empty name fails once the scene is rendered
+        assert render_scene(spec)[1].columns.class_names == [str(name)]
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda box: Detection(0, "car", 0.5, box), DataError),
+    (lambda box: GroundTruthObject("car", 5.0, box), DataError),
+    (lambda box: SceneObject("car", 10.0, box), SceneError),
+    (lambda box: iou(BoundingBox(1, 2, 3, 4), box), DataError),
+    (lambda box: iou(box, BoundingBox(1, 2, 3, 4)), DataError),
+], ids=["Detection", "GroundTruthObject", "SceneObject", "iou", "iou first"])
+@pytest.mark.parametrize("box", [(1, 2, 3, 4), [1, 2, 3, 4], "box"], ids=["tuple", "list", "str"])
+def test_a_records_bbox_must_be_a_bounding_box(build, error, box):
+    with pytest.raises(DataError) as e:
+        build(box)
+    assert type(e.value) is error and str(e.value) == f"bbox must be a BoundingBox, got {box!r}"
 
 
 @given(edge_floats, edge_floats)
@@ -269,23 +305,35 @@ def test_an_image_or_a_map_side_meets_one_rule_in_a_record_and_its_file(side, ru
 MODEL = {"c0": 1.0, "c1": 2.0, "c2": 3.0, "h_m": 1.0, "fit_rmse_m": 0.0, "n_samples": 9}
 
 
-@pytest.mark.parametrize("value", [2.5, -0.5, 2.0, 3, -1, math.nan, math.inf, 10**400])
+@pytest.mark.parametrize("value", [
+    2.5, -0.5, 2.0, 3, -1, math.nan, math.inf, 10**400,
+    np.float32(2.5), np.float16(-1.5), np.float64(2.5), np.float32(math.nan), np.float32(2.0),
+    np.uint64(2**64 - 1),
+])
 @pytest.mark.parametrize("field", ["map_width", "map_height", "seed", "n_samples"])
 def test_an_integer_item_keeps_no_fraction_in_a_record_or_its_file(field, value):
-    """A scene or calibration model, and its file, accept or reject an integer item alike."""
+    """A scene or calibration model, and its file, accept or reject an integer item alike.
+
+    A numpy scalar is read as the Python number that a file holds in its place.
+    """
+    plain = value.item() if isinstance(value, np.generic) else value
     if field == "n_samples":
-        doc = {**MODEL, field: value}
+        doc = {**MODEL, field: plain}
         record = outcome(lambda: CalibrationModel(1.0, 2.0, 3.0, 1.0, 0.0, value))
         decoded = outcome(lambda: deserialize_model(json.dumps(doc)))
     else:
-        doc = {**SCENE, field: value}
-        spec = (doc["map_width"], doc["map_height"], 50.0)
+        doc, given = {**SCENE, field: plain}, {**SCENE, field: value}
+        spec = (given["map_width"], given["map_height"], 50.0)
         # rendered too, so that a side that passed the scene's rules must draw a map
-        record = outcome(lambda: render_scene(SceneSpec(*spec, seed=doc.get("seed", 0))))
+        record = outcome(lambda: render_scene(SceneSpec(*spec, seed=given.get("seed", 0))))
         decoded = outcome(lambda: render_scene(parse_scene(json.dumps(doc))))
+    if record is not None:  # a message shows numpy's repr of the value given
+        record = record.replace(repr(value), repr(plain))
     assert decoded == record
-    if isinstance(value, float) and not value.is_integer():
-        assert record == f"{field} must be an integer, got {value}"
+    if isinstance(plain, float) and not plain.is_integer():
+        assert record == f"{field} must be an integer, got {plain}"
+    if field == "n_samples" and record is None:  # read exactly, a numpy int too
+        assert CalibrationModel(1.0, 2.0, 3.0, 1.0, 0.0, value).n_samples == plain
 
 
 FIT_OVERFLOW = "fit overflows float64; x, y_abs or camera height too extreme"
@@ -306,6 +354,103 @@ def test_camera_height_agrees_across_model_fit_and_file(h):
         assert fit == model
 
 
+NOT_NUMBERS = [None, "x", [1], {}]
+DET_OBJECT = {"class_id": 0, "class_name": "car", "confidence": 0.5, "bbox": [1, 2, 3, 4]}
+DIST_OBJECT = {
+    "class_name": "car", "confidence": 0.5, "bbox": [1, 2, 3, 4], "rev_m": 1.0, "abs_m": 2.0,
+}
+CONFIG = {"backend": {"mode": "files", "depth_dir": ".", "det_dir": "."}}
+SAMPLES = [CalibrationSample(x, y) for x, y in ((1.0, 2.0), (2.0, 3.0), (3.0, 5.0))]
+NUMBER_FIELDS = [
+    "confidence", "bbox coordinate", "rev", "abs", "ground-truth distance", "depth",
+    "background_depth", "noise_amplitude", "min_depth", "max_depth", "min_conf", "iou_threshold",
+    "c0", "c1", "c2", "camera height", "fit_rmse", "sample x", "sample y_abs", "predicted",
+    "truth", "threshold",
+]
+
+
+def number_readers(field, v, tmp_path):
+    """The ways to read `v` as the number `field`: its record first, then its file, if any."""
+    box = BoundingBox(1, 2, 3, 4)
+    backend = cli.BackendConfig(cli.BackendMode.FILES, tmp_path, tmp_path)
+    ds = DetectionSet("i", 100, 50, [DETECTION])
+    pairs = [evaluate.MatchedPair("car", 2.0, 1.0)]
+
+    def det(**fields):
+        doc = one_object_file("detections", {**DET_OBJECT, **fields}, width=9, height=9)
+        return parse_detections(doc)
+
+    def config(**fields):
+        (tmp_path / "c.json").write_text(json.dumps({**CONFIG, **fields}))
+        return cli.load_config(tmp_path / "c.json")
+
+    def dist(**fields):
+        return decode_distances(one_object_file("objects", {**DIST_OBJECT, **fields}))
+
+    def model(**fields):
+        return deserialize_model(json.dumps({**MODEL, **fields}))
+
+    def scene(**fields):
+        return parse_scene(json.dumps({**SCENE, **fields}))
+
+    truth = one_object_file("objects", {"class_name": "car", "abs_m": v})
+    return {
+        "confidence": (lambda: Detection(0, "car", v, box), lambda: det(confidence=v)),
+        "bbox coordinate": (lambda: BoundingBox(1, 2, v, 4), lambda: det(bbox=[1, 2, v, 4])),
+        "rev": (lambda: ObjectDistance(DETECTION, v), lambda: dist(rev_m=v, abs_m=None)),
+        "abs": (lambda: ObjectDistance(DETECTION, 1.0, v), lambda: dist(abs_m=v)),
+        "ground-truth distance": (
+            lambda: GroundTruthObject("car", v), lambda: decode_ground_truth(truth)),
+        "depth": (
+            lambda: SceneSpec(64, 48, 50.0, (SceneObject("car", v, box),)),
+            lambda: scene(objects=[{"class_name": "car", "depth_m": v, "bbox": [1, 2, 3, 4]}])),
+        "background_depth": (lambda: SceneSpec(64, 48, v), lambda: scene(background_depth_m=v)),
+        "noise_amplitude": (
+            lambda: SceneSpec(64, 48, 50.0, noise_amplitude=v), lambda: scene(noise_amplitude=v)),
+        "min_depth": (lambda: DepthRange(v), lambda: config(depth_range={"min_m": v})),
+        "max_depth": (lambda: DepthRange(0.1, v), lambda: config(depth_range={"max_m": v})),
+        "min_conf": (lambda: cli.PipelineConfig(backend, min_conf=v), lambda: config(min_conf=v),
+                     lambda: filter_confidence(ds, v)),
+        "iou_threshold": (lambda: cli.PipelineConfig(backend, iou_threshold=v),
+                          lambda: config(iou_threshold=v), lambda: nms(ds, v)),
+        "c0": (lambda: CalibrationModel(v, 2.0, 3.0, 1.0), lambda: model(c0=v)),
+        "c1": (lambda: CalibrationModel(1.0, v, 3.0, 1.0), lambda: model(c1=v)),
+        "c2": (lambda: CalibrationModel(1.0, 2.0, v, 1.0), lambda: model(c2=v)),
+        "camera height": (lambda: CalibrationModel(1.0, 2.0, 3.0, v), lambda: model(h_m=v),
+                          lambda: fit_quadratic(SAMPLES, h=v)),
+        "fit_rmse": (lambda: CalibrationModel(1.0, 2.0, 3.0, 1.0, v), lambda: model(fit_rmse_m=v)),
+        # a samples CSV holds text, which test_a_sample_that_is_no_number_fails_... reads
+        "sample x": (lambda: CalibrationSample(v, 2.0),),
+        "sample y_abs": (lambda: CalibrationSample(1.0, v),),
+        "predicted": (lambda: evaluate.MatchedPair("car", v, 1.0),),
+        "truth": (lambda: evaluate.MatchedPair("car", 1.0, v),),
+        "threshold": (lambda: evaluate.threshold_accuracy(pairs, v),
+                      lambda: evaluate.build_report(pairs, 0, 0, v)),
+    }[field]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=["None", "str", "list", "dict"])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_a_value_that_is_no_number_fails_a_record_and_its_file_alike(tmp_path, field, value):
+    """Every real field is read by one reader, which names the field and shows the value."""
+    expected = f"{field} must be a number, got {value!r}"
+    if (field, value) == ("abs", None):  # a prediction without ABS is not calibrated
+        expected = None
+    for read in number_readers(field, value, tmp_path):
+        assert outcome(read) == expected
+
+
+@pytest.mark.parametrize(
+    "x, y_abs", [("x", "2"), ("1", "x"), ("[1]", "2"), ("1", "{}"), ("1", None)])
+def test_a_sample_that_is_no_number_fails_a_record_and_its_csv_alike(x, y_abs):
+    """A samples CSV hands its fields, as text, to CalibrationSample; a missing one is None."""
+    record = outcome(lambda: CalibrationSample(x, y_abs))
+    row = x if y_abs is None else f"{x},{y_abs}"
+    assert outcome(lambda: read_samples_csv(f"x_m,y_abs_m\n{row}\n")) == f"sample row 0: {record}"
+    field, value = ("sample x", x) if x != "1" else ("sample y_abs", y_abs)
+    assert record == f"{field} must be a number, got {value!r}"
+
+
 # the rules of README's "Input rules"; {} stands for a formatted value
 RULE_MESSAGES = [
     "non-finite, negative, inverted or empty bbox {}",
@@ -323,6 +468,8 @@ RULE_MESSAGES = [
     "sample x must be non-negative finite",
     "sample y_abs must be positive finite",
     "depth range must satisfy 0 < min < max < inf, 1/min and 1/(1/max) finite",
+    "{} must be a number, got {}",
+    "bbox must be a BoundingBox, got {}",
 ]
 
 
